@@ -4,10 +4,9 @@
 //! observable or iterate hash-ordered collections into ordered outputs.
 //! This rule flags, inside `pm-solver`, `pm-linalg`, `pm-parallel` and the
 //! core `engine`/`compiled`/`delta`/`partition` modules — plus the session
-//! layer's `analyst` (batched dispatch + merge), `batch` (the cost-model
-//! batch planner) and `overlay` (flat epoch-indexed solution memory)
-//! modules, whose ordering decisions are exactly what the batching refactor
-//! made load-bearing:
+//! layer's `analyst` (component dispatch + merge) and `overlay` (flat
+//! epoch-indexed solution memory) modules, whose ordering decisions decide
+//! the merge order:
 //!
 //! * any `SystemTime` use and any `Instant::now` call — wall-clock reads.
 //!   Telemetry-only timing (solver stats, `CompileStats`) is legitimate
@@ -27,7 +26,7 @@ use crate::source::{Diagnostic, Severity, SourceFile};
 pub const ID: &str = "determinism";
 /// Catalog summary.
 pub const SUMMARY: &str =
-    "solver/linalg/parallel/core hot paths (incl. analyst/batch/overlay): \
+    "solver/linalg/parallel/core hot paths (incl. analyst/overlay): \
      no wall-clock reads, no hash-ordered iteration into ordered outputs \
      (bit-replayability contract)";
 
@@ -46,8 +45,8 @@ const ITER_METHODS: &[&str] = &[
 
 /// Scope: the solver, linalg and parallel crates wholesale, plus the core
 /// modules on the compile/solve path — including the session layer's
-/// batching/arena modules (`analyst`, `batch`, `overlay`), where a
-/// hash-ordered iteration would reorder the batch plan or the merge.
+/// dispatch and overlay modules (`analyst`, `overlay`), where a
+/// hash-ordered iteration would reorder the dispatch or the merge.
 #[must_use]
 pub fn applies(rel_path: &str) -> bool {
     rel_path.starts_with("crates/solver/src/")
@@ -60,7 +59,6 @@ pub fn applies(rel_path: &str) -> bool {
                 | "crates/core/src/delta.rs"
                 | "crates/core/src/partition.rs"
                 | "crates/core/src/analyst.rs"
-                | "crates/core/src/batch.rs"
                 | "crates/core/src/overlay.rs"
         )
 }
@@ -263,8 +261,7 @@ mod tests {
     fn scope_covers_the_solve_path_and_batching_modules() {
         assert!(applies("crates/solver/src/maxent.rs"));
         assert!(applies("crates/core/src/partition.rs"));
-        assert!(applies("crates/core/src/analyst.rs"), "batched dispatch + merge");
-        assert!(applies("crates/core/src/batch.rs"), "batch planner");
+        assert!(applies("crates/core/src/analyst.rs"), "component dispatch + merge");
         assert!(applies("crates/core/src/overlay.rs"), "flat overlay memory");
         assert!(applies("crates/parallel/src/lib.rs"), "chunk executor");
         assert!(!applies("crates/core/src/knowledge.rs"));

@@ -6,11 +6,6 @@
 //!     --scale quick|full  workload scale (2,500 / 14,210 records) [default: quick]
 //!     --seed N            generator seed                          [default: 1]
 //!     --threads LIST      comma-separated thread counts to sweep  [default: 1,2,4]
-//!     --batch-costs LIST  comma-separated batching cost floors
-//!                         (`EngineConfig::batch_min_cost`) to sweep; the
-//!                         sweep runs every threads × batch-costs combo
-//!                         against the unbatched 1-thread baseline
-//!                                                          [default: 0,1024]
 //!     --arity T           exact antecedent arity of mined rules   [default: 4]
 //!     --rules N           knowledge rules, split (N/2)+ (N/2)−    [default: 100]
 //!     --out PATH          JSON report path        [default: BENCH_parallel.json]
@@ -63,13 +58,6 @@ fn parse(argv: &[String]) -> Result<(ParallelBenchConfig, String, Option<f64>), 
                     .collect::<Result<_, _>>()
                     .map_err(|_| "bad --threads list".to_string())?;
             }
-            "--batch-costs" => {
-                cfg.batch_costs = value("--batch-costs")?
-                    .split(',')
-                    .map(|s| s.trim().parse::<u64>())
-                    .collect::<Result<_, _>>()
-                    .map_err(|_| "bad --batch-costs list".to_string())?;
-            }
             "--arity" => {
                 cfg.arity = value("--arity")?.parse().map_err(|_| "bad --arity".to_string())?;
             }
@@ -89,9 +77,6 @@ fn parse(argv: &[String]) -> Result<(ParallelBenchConfig, String, Option<f64>), 
     }
     if cfg.threads.is_empty() {
         return Err("--threads list must be non-empty".to_string());
-    }
-    if cfg.batch_costs.is_empty() {
-        return Err("--batch-costs list must be non-empty".to_string());
     }
     if cfg.arity == 0 {
         return Err("--arity must be positive".to_string());
@@ -143,9 +128,9 @@ fn main() -> ExitCode {
         }
         if let Some(r) = eligible.iter().find(|r| r.regressed()) {
             eprintln!(
-                "parallel_bench: {} threads (batch cost {}) REGRESSED — {:.2}x \
-                 baseline wall, {:.2}x baseline solver time",
-                r.threads, r.batch_cost, r.speedup, r.solver_ratio
+                "parallel_bench: {} threads REGRESSED — {:.2}x baseline wall, \
+                 {:.2}x baseline solver time",
+                r.threads, r.speedup, r.solver_ratio
             );
             return ExitCode::FAILURE;
         }

@@ -39,11 +39,6 @@ pub struct ParallelBenchConfig {
     pub k_positive: usize,
     /// Negative-rule budget.
     pub k_negative: usize,
-    /// Batching cost floors to sweep (`EngineConfig::batch_min_cost`). The
-    /// bit-identity anchor — and the speedup denominator — is always the
-    /// unbatched (`batch_cost = 0`) single-thread run; the sweep is
-    /// `threads × batch_costs`.
-    pub batch_costs: Vec<u64>,
 }
 
 impl Default for ParallelBenchConfig {
@@ -55,7 +50,6 @@ impl Default for ParallelBenchConfig {
             arity: 4,
             k_positive: 50,
             k_negative: 50,
-            batch_costs: vec![0, EngineConfig::default().batch_min_cost],
         }
     }
 }
@@ -90,8 +84,6 @@ fn build_workload(cfg: &ParallelBenchConfig) -> BenchWorkload {
 pub struct ParallelRun {
     /// Worker threads requested (`EngineConfig::threads`).
     pub threads: usize,
-    /// Batching cost floor (`EngineConfig::batch_min_cost`; 0 = unbatched).
-    pub batch_cost: u64,
     /// Wall time of the full `estimate` call.
     pub wall: Duration,
     /// Summed per-component solver time (exceeds `wall` when parallel).
@@ -144,33 +136,32 @@ pub struct ParallelBenchReport {
     pub runs: Vec<ParallelRun>,
 }
 
-fn bench_engine_config(threads: usize, batch_cost: u64) -> EngineConfig {
+fn bench_engine_config(threads: usize) -> EngineConfig {
     // Mirrors the figure experiments: mined knowledge is always feasible
     // but boundary-heavy systems converge asymptotically, so the residual
     // gate is left open (see `crate::figures::engine_config`).
     EngineConfig::builder()
         .residual_limit(f64::INFINITY)
         .threads(threads)
-        .batch_min_cost(batch_cost)
         .build()
 }
 
-fn estimate(w: &BenchWorkload, threads: usize, batch_cost: u64) -> (Estimate, Duration) {
-    let engine = Engine::new(bench_engine_config(threads, batch_cost));
+fn estimate(w: &BenchWorkload, threads: usize) -> (Estimate, Duration) {
+    let engine = Engine::new(bench_engine_config(threads));
     let start = Instant::now();
     let est = engine.estimate(&w.table, &w.kb).expect("mined knowledge is feasible");
     (est, start.elapsed())
 }
 
-/// Runs the sweep: an unbatched 1-thread baseline, then every configured
-/// `threads × batch_costs` combination.
+/// Runs the sweep: a 1-thread baseline, then every configured thread
+/// count.
 pub fn run(cfg: &ParallelBenchConfig) -> ParallelBenchReport {
     let w = build_workload(cfg);
 
     // Warmup: page the workload in and stabilise allocator/caches so the
     // measured baseline isn't charged for first-touch costs.
-    let _ = estimate(&w, 1, 0);
-    let (baseline, baseline_wall) = estimate(&w, 1, 0);
+    let _ = estimate(&w, 1);
+    let (baseline, baseline_wall) = estimate(&w, 1);
     let baseline_solver = baseline.stats.solver_elapsed();
     let mut report = ParallelBenchReport {
         scale: match cfg.scale {
@@ -191,23 +182,20 @@ pub fn run(cfg: &ParallelBenchConfig) -> ParallelBenchReport {
     };
 
     for &threads in &cfg.threads {
-        for &batch_cost in &cfg.batch_costs {
-            let (est, wall) = estimate(&w, threads, batch_cost);
-            let solver = est.stats.solver_elapsed();
-            report.runs.push(ParallelRun {
-                threads,
-                batch_cost,
-                wall,
-                solver,
-                speedup: baseline_wall.as_secs_f64() / wall.as_secs_f64(),
-                solver_ratio: if baseline_solver.as_secs_f64() > 0.0 {
-                    solver.as_secs_f64() / baseline_solver.as_secs_f64()
-                } else {
-                    1.0
-                },
-                identical_to_baseline: est.term_values() == baseline.term_values(),
-            });
-        }
+        let (est, wall) = estimate(&w, threads);
+        let solver = est.stats.solver_elapsed();
+        report.runs.push(ParallelRun {
+            threads,
+            wall,
+            solver,
+            speedup: baseline_wall.as_secs_f64() / wall.as_secs_f64(),
+            solver_ratio: if baseline_solver.as_secs_f64() > 0.0 {
+                solver.as_secs_f64() / baseline_solver.as_secs_f64()
+            } else {
+                1.0
+            },
+            identical_to_baseline: est.term_values() == baseline.term_values(),
+        });
     }
     report
 }
@@ -244,13 +232,11 @@ impl ParallelBenchReport {
         s.push_str("  \"runs\": [\n");
         for (i, r) in self.runs.iter().enumerate() {
             s.push_str(&format!(
-                "    {{\"threads\": {}, \"batch_cost\": {}, \
-                 \"wall_seconds\": {:.6}, \
+                "    {{\"threads\": {}, \"wall_seconds\": {:.6}, \
                  \"solver_seconds\": {:.6}, \"speedup\": {:.3}, \
                  \"solver_ratio\": {:.3}, \"regressed\": {}, \
                  \"identical_to_baseline\": {}}}{}\n",
                 r.threads,
-                r.batch_cost,
                 r.wall.as_secs_f64(),
                 r.solver.as_secs_f64(),
                 r.speedup,
@@ -276,14 +262,13 @@ impl ParallelBenchReport {
             self.components, self.irrelevant_components, self.available_parallelism
         );
         println!(
-            "{:>8}  {:>10}  {:>12}  {:>14}  {:>8}  {:>10}  {:>10}",
-            "threads", "batch", "wall (s)", "solver Σ (s)", "speedup", "solver ×", "identical"
+            "{:>8}  {:>12}  {:>14}  {:>8}  {:>10}  {:>10}",
+            "threads", "wall (s)", "solver Σ (s)", "speedup", "solver ×", "identical"
         );
         for r in &self.runs {
             println!(
-                "{:>8}  {:>10}  {:>12.4}  {:>14.4}  {:>7.2}x  {:>9.2}x  {:>10}",
+                "{:>8}  {:>12.4}  {:>14.4}  {:>7.2}x  {:>9.2}x  {:>10}",
                 r.threads,
-                r.batch_cost,
                 r.wall.as_secs_f64(),
                 r.solver.as_secs_f64(),
                 r.speedup,
@@ -297,11 +282,9 @@ impl ParallelBenchReport {
         // to catch.
         for r in self.runs.iter().filter(|r| r.regressed()) {
             println!(
-                "REGRESSION: {} threads (batch cost {}) ran at {:.2}x baseline \
-                 wall and spent {:.2}x the baseline solver time (host has {} \
-                 core(s))",
+                "REGRESSION: {} threads ran at {:.2}x baseline wall and spent \
+                 {:.2}x the baseline solver time (host has {} core(s))",
                 r.threads,
-                r.batch_cost,
                 r.speedup,
                 r.solver_ratio,
                 self.available_parallelism,
@@ -330,7 +313,6 @@ mod tests {
             runs: vec![
                 ParallelRun {
                     threads: 1,
-                    batch_cost: 0,
                     wall: Duration::from_millis(500),
                     solver: Duration::from_millis(450),
                     speedup: 1.0,
@@ -339,7 +321,6 @@ mod tests {
                 },
                 ParallelRun {
                     threads: 2,
-                    batch_cost: 1024,
                     wall: Duration::from_millis(260),
                     solver: Duration::from_millis(450),
                     speedup: 500.0 / 260.0,
@@ -360,8 +341,6 @@ mod tests {
         assert!(j.contains("\"baseline_wall_seconds\": 0.500000"));
         assert!(j.contains("\"baseline_solver_seconds\": 0.450000"));
         assert!(j.contains("\"threads\": 2"));
-        assert!(j.contains("\"batch_cost\": 0"));
-        assert!(j.contains("\"batch_cost\": 1024"));
         assert!(j.contains("\"solver_ratio\": 1.000"));
         assert!(j.contains("\"regressed\": false"));
         assert!(j.contains("\"identical_to_baseline\": true"));
@@ -373,7 +352,6 @@ mod tests {
     fn regression_flags_slow_or_oversubscribed_runs() {
         let healthy = ParallelRun {
             threads: 2,
-            batch_cost: 1024,
             wall: Duration::from_millis(260),
             solver: Duration::from_millis(450),
             speedup: 1.9,

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use privacy_maxent::engine::EngineConfig;
-
 /// Where the microdata comes from.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Source {
@@ -49,10 +47,6 @@ pub struct Options {
     pub seed: u64,
     /// Engine worker threads (0 = all available cores).
     pub threads: usize,
-    /// Batching cost floor: dirty components are fused into one worker
-    /// task until their summed cost (terms + rows) reaches this
-    /// (0 = one task per component; estimates are bit-identical either way).
-    pub batch_cost: u64,
 }
 
 /// Parsed options for `pmx compile`.
@@ -183,7 +177,6 @@ pub fn parse(argv: &[String]) -> Result<Options, ParseError> {
     let mut arity = 2usize;
     let mut seed = 1u64;
     let mut threads = 0usize;
-    let mut batch_cost = EngineConfig::default().batch_min_cost;
 
     let mut it = argv.iter();
     while let Some(flag) = it.next() {
@@ -245,11 +238,6 @@ pub fn parse(argv: &[String]) -> Result<Options, ParseError> {
                     .parse()
                     .map_err(|_| ParseError("bad --threads".into()))?;
             }
-            "--batch-cost" => {
-                batch_cost = value("--batch-cost")?
-                    .parse()
-                    .map_err(|_| ParseError("bad --batch-cost".into()))?;
-            }
             other => return Err(ParseError(format!("unknown flag `{other}`"))),
         }
     }
@@ -259,7 +247,7 @@ pub fn parse(argv: &[String]) -> Result<Options, ParseError> {
     if ell == 0 || arity == 0 {
         return Err(ParseError("--ell and --arity must be positive".into()));
     }
-    Ok(Options { source, ell, exempt, mechanism, bounds, arity, seed, threads, batch_cost })
+    Ok(Options { source, ell, exempt, mechanism, bounds, arity, seed, threads })
 }
 
 /// Parses `pmx compile` arguments: everything `pmx quantify` accepts minus
@@ -589,21 +577,6 @@ mod tests {
         let o = parse(&argv("--synthetic adult:100")).unwrap();
         assert_eq!(o.threads, 0, "0 = all available cores");
         assert!(parse(&argv("--synthetic adult:100 --threads x")).is_err());
-    }
-
-    #[test]
-    fn batch_cost_defaults_to_engine_default_and_parses() {
-        let o = parse(&argv("--synthetic adult:100")).unwrap();
-        assert_eq!(
-            o.batch_cost,
-            EngineConfig::default().batch_min_cost,
-            "CLI default mirrors the engine default"
-        );
-        let o = parse(&argv("--synthetic adult:100 --batch-cost 0")).unwrap();
-        assert_eq!(o.batch_cost, 0, "0 = one task per component");
-        let o = parse(&argv("--synthetic adult:100 --batch-cost 4096")).unwrap();
-        assert_eq!(o.batch_cost, 4096);
-        assert!(parse(&argv("--synthetic adult:100 --batch-cost x")).is_err());
     }
 
     #[test]

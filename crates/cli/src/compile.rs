@@ -38,7 +38,6 @@ pub fn run(options: &CompileOptions) -> Result<(), Box<dyn Error>> {
     let config = EngineConfig::builder()
         .residual_limit(f64::INFINITY)
         .threads(options.base.threads)
-        .batch_min_cost(options.base.batch_cost)
         .build();
     let (_, artifact) = build_artifact(&options.base, config)?;
     println!(

@@ -84,10 +84,6 @@
 //!     --arity N           max antecedent arity to mine      [default: 2]
 //!     --seed N            generator seed                    [default: 1]
 //!     --threads N         engine worker threads; 0 = all cores [default: 0]
-//!     --batch-cost N      fuse dirty components into one worker task until
-//!                         their summed cost (terms + rows) reaches N;
-//!                         0 = one task per component. Bit-identical output
-//!                         for every value               [default: 1024]
 //! ```
 
 use std::process::ExitCode;

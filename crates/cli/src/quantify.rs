@@ -108,7 +108,6 @@ pub fn run(options: &Options) -> Result<(), Box<dyn Error>> {
         &EngineConfig::builder()
             .residual_limit(f64::INFINITY)
             .threads(options.threads)
-            .batch_min_cost(options.batch_cost)
             .build(),
     )?;
     println!("privacy report — one row per assumed Top-(K+, K-) knowledge bound:");

@@ -77,7 +77,6 @@ fn config_for(base: &Options) -> EngineConfig {
     EngineConfig::builder()
         .residual_limit(f64::INFINITY)
         .threads(base.threads)
-        .batch_min_cost(base.batch_cost)
         .build()
 }
 

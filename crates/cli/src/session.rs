@@ -115,7 +115,6 @@ fn open_analyst(options: &SessionOptions) -> Result<OpenedArtifact, Box<dyn Erro
         EngineConfig::builder()
             .residual_limit(f64::INFINITY)
             .threads(base.threads)
-            .batch_min_cost(base.batch_cost)
             .warm_start(options.warm_start)
             .build()
     };

@@ -100,7 +100,6 @@ use pm_microdata::qi::QiId;
 use pm_microdata::schema::Schema;
 use pm_microdata::value::Value;
 
-use crate::batch;
 use crate::compile::compile_items_parallel;
 use crate::compiled::CompiledTable;
 use crate::constraint::{Constraint, ConstraintOrigin};
@@ -1034,41 +1033,31 @@ impl Analyst {
         let artifact = Arc::clone(&self.artifact);
         let index = artifact.term_index();
 
-        // The knowledge tail and the new partition stay local until every
+        // The knowledge tail and a new partition stay local until every
         // dirty solve succeeds, so a failed refresh never changes what
-        // `report()` describes.
-        let krows: Vec<Constraint>;
-        let components: Vec<Component>;
-        if self.stale {
-            krows = self.build_knowledge_rows();
-            // The knowledge rows themselves are cheap to rebuild (O(rules));
-            // the whole-table partition is not. A rebase that left every
-            // entry bit-unchanged keeps `partition_stale` false, so the
-            // steady-state delta path reuses the partition verbatim.
-            let cached = if self.partition_stale { None } else { self.components.take() };
-            components = match cached {
-                Some(c) => c,
-                None if self.config.decompose => {
-                    knowledge_components(&krows, artifact.num_invariants(), index)
-                }
-                // One pseudo-component holding everything; knowledge rows
-                // all attach to it (no incrementality without Section 5.5).
-                None => vec![Component {
-                    buckets: (0..artifact.table().num_buckets()).collect(),
-                    knowledge_rows: (0..krows.len())
-                        .map(|i| artifact.num_invariants() + i)
-                        .collect(),
-                }],
-            };
-            self.partition_stale = false;
+        // `report()` describes. When only the individual layer is stale,
+        // the knowledge rows are not needed and the partition is kept.
+        let krows = if self.stale { self.build_knowledge_rows() } else { Vec::new() };
+        // The knowledge rows themselves are cheap to rebuild (O(rules));
+        // the whole-table partition is not. A rebase that left every entry
+        // bit-unchanged keeps `partition_stale` false, so the steady-state
+        // delta path reuses the cached partition verbatim.
+        let fresh: Option<Vec<Component>> = if !(self.stale && self.partition_stale) {
+            None
+        } else if self.config.decompose {
+            Some(knowledge_components(&krows, artifact.num_invariants(), index))
         } else {
-            // Only the individual layer is stale: keep the partition.
-            krows = Vec::new();
-            components = match self.components.take() {
-                Some(c) => c,
-                None => artifact.baseline_components().to_vec(),
-            };
-        }
+            // One pseudo-component holding everything; knowledge rows all
+            // attach to it (no incrementality without Section 5.5).
+            Some(vec![Component {
+                buckets: (0..artifact.table().num_buckets()).collect(),
+                knowledge_rows: (0..krows.len()).map(|i| artifact.num_invariants() + i).collect(),
+            }])
+        };
+        let components: &[Component] = match (&fresh, &self.components) {
+            (Some(c), _) | (None, Some(c)) => c,
+            (None, None) => artifact.baseline_components(),
+        };
         let rows = artifact.rows(&krows);
 
         // Dirty = contains a bucket some delta touched. Everything else is
@@ -1087,14 +1076,10 @@ impl Analyst {
         }
 
         // Re-solve dirty numeric components on the worker pool (dirty-set
-        // scheduling). Tiny components are fused into batches sized by the
-        // cost model ([`EngineConfig::batch_min_cost`]) so per-task
-        // dispatch overhead — result slot, closure call, cache migration —
-        // amortises across real solver work; each worker carries ONE
-        // scratch arena across every component it solves. Mirrors the
-        // historical engine: an abort flag skips still-queued work once one
-        // component fails, and the earliest-indexed observed failure is
-        // reported.
+        // scheduling); each worker carries ONE scratch arena across every
+        // component it solves. Mirrors the historical engine: an abort flag
+        // skips still-queued work once one component fails, and the
+        // earliest-indexed observed failure is reported.
         let config = &self.config;
         let table = artifact.table();
         let entries = &self.entries;
@@ -1107,47 +1092,28 @@ impl Analyst {
         let warm: Option<&(dyn Fn(usize) -> f64 + Sync)> =
             if config.warm_start { Some(&warm_fn) } else { None };
 
-        let costs: Vec<u64> = dirty_numeric
-            .iter()
-            .map(|&ci| batch::component_cost(index, rows, &components[ci]))
-            .collect();
-        let batches = batch::plan_batches(&dirty_numeric, &costs, config.batch_min_cost);
         let failed = AtomicBool::new(false);
-        let solved = pm_parallel::map_chunked_with(
+        let solved = pm_parallel::map_with(
             config.threads,
-            1,
-            &batches,
+            &dirty_numeric,
             SolveScratch::default,
-            |scratch, _, batch| {
-                batch
-                    .iter()
-                    .map(|&ci| {
-                        if failed.load(Ordering::Relaxed) {
-                            return None; // skipped: another component already failed
-                        }
-                        let result = solve_component(
-                            config,
-                            table,
-                            index,
-                            rows,
-                            &components[ci],
-                            warm,
-                            scratch,
-                        );
-                        if result.is_err() {
-                            failed.store(true, Ordering::Relaxed);
-                        }
-                        Some((ci, result))
-                    })
-                    .collect::<Vec<_>>()
+            |scratch, _, &ci| {
+                if failed.load(Ordering::Relaxed) {
+                    return None; // skipped: another component already failed
+                }
+                let result =
+                    solve_component(config, table, index, rows, &components[ci], warm, scratch);
+                if result.is_err() {
+                    failed.store(true, Ordering::Relaxed);
+                }
+                Some((ci, result))
             },
         );
         let mut solutions: Vec<(usize, ComponentSolution)> =
             Vec::with_capacity(dirty_numeric.len());
-        // Batches concatenate to `dirty_numeric` verbatim, so this scan
-        // visits components in canonical order — the earliest-indexed
-        // failure wins, exactly as with one-task-per-component dispatch.
-        for slot in solved.into_iter().flatten() {
+        // Results come back in `dirty_numeric` order, so this scan visits
+        // components in canonical order — the earliest-indexed failure wins.
+        for slot in solved {
             match slot {
                 Some((ci, Ok(sol))) => solutions.push((ci, sol)),
                 // Earliest-indexed observed failure; no state was merged,
@@ -1222,7 +1188,10 @@ impl Analyst {
         let resolved = dirty_numeric.len();
         let closed_form = dirty_closed.len();
         let reused = components.len() - resolved - closed_form;
-        self.components = Some(components);
+        if let Some(c) = fresh {
+            self.components = Some(c);
+            self.partition_stale = false;
+        }
         self.dirty.clear();
         self.stale = false;
 
@@ -1692,6 +1661,55 @@ mod tests {
         analyst.refresh().unwrap();
         assert_eq!(analyst.estimate().term_values(), expected.as_slice());
         let _ = good;
+    }
+
+    /// A failed refresh after a rebase that kept the cached partition still
+    /// serves, and reports, that partition; removing the offending rule
+    /// then recovers to a fresh session's bits on the new epoch. Unlike
+    /// `infeasible_delta_is_recoverable`, the session holds two components.
+    #[test]
+    fn failed_refresh_keeps_the_carried_partition() {
+        use crate::delta::TableDelta;
+
+        let (_, table) = paper_example();
+        for threads in [1, 2] {
+            let config = EngineConfig::builder().threads(threads).build();
+            let e0 = Arc::new(CompiledTable::build(table.clone(), config).unwrap());
+            let mut analyst = Analyst::open(Arc::clone(&e0));
+            // P(pneumonia | male, high school) = 0 and
+            // P(pneumonia | male, college) = 0.3.
+            let zero = analyst.add_knowledge(conditional_k(vec![(0, 0), (1, 1)], 1, 0.0)).unwrap();
+            let kept = conditional_k(vec![(0, 0), (1, 0)], 1, 0.3);
+            let _ = analyst.add_knowledge(kept.clone()).unwrap();
+            analyst.refresh().unwrap();
+            assert_eq!(analyst.num_components(), 2);
+            let served = analyst.estimate().term_values().to_vec();
+
+            // Two (male, high school, pneumonia) arrivals in bucket 1
+            // (Ethan, Frank, Grace) leave both rules bit-unchanged, so the
+            // rebase keeps the partition, but the zero rule can no longer
+            // be met there: three pneumonia values, two other QI records.
+            let delta = TableDelta::new().insert(vec![0, 1], 1, 1).insert(vec![0, 1], 1, 1);
+            let e1 = Arc::new(e0.apply(&delta).unwrap());
+            assert_eq!(analyst.rebase(&e1).unwrap().changed, 0);
+            let pending = analyst.pending_buckets();
+
+            let err = analyst.refresh().unwrap_err();
+            assert!(matches!(err, PmError::Component { .. }), "threads={threads}: {err:?}");
+            assert_eq!(analyst.num_components(), 2, "threads={threads}");
+            assert_eq!(analyst.report().components, 2, "threads={threads}");
+            assert_eq!(analyst.estimate().term_values(), served.as_slice());
+            assert_eq!(analyst.pending_buckets(), pending);
+            assert!(analyst.is_stale());
+
+            analyst.remove_knowledge(zero).unwrap();
+            analyst.refresh().unwrap();
+            let mut fresh = Analyst::open(Arc::clone(&e1));
+            let _ = fresh.add_knowledge(kept).unwrap();
+            fresh.refresh().unwrap();
+            assert_eq!(analyst.estimate().term_values(), fresh.estimate().term_values());
+            assert_eq!(analyst.num_components(), fresh.num_components());
+        }
     }
 
     /// Warm starts converge to the same optimum (within tolerance) as cold

@@ -38,10 +38,13 @@
 //! whole point of Section 5.5), so relevant components are solved on a
 //! [`pm_parallel`] worker pool of [`EngineConfig::threads`] threads.
 //! Irrelevant components never reach a worker: they short-circuit to the
-//! Theorem 5 closed form on the calling thread. Each component's solve is
-//! internally sequential and results are merged in component order into
-//! disjoint term ranges, so the output is **bit-identical** for every
-//! thread count (only [`EngineStats`] wall times vary).
+//! Theorem 5 closed form on the calling thread. Workers claim chunks of
+//! dirty components, sized from the component and worker counts, and each
+//! worker solves its claims through one reused scratch arena. Each
+//! component's solve is internally sequential and results are merged in
+//! component order into disjoint term ranges, so the output is
+//! **bit-identical** for every thread count (only [`EngineStats`] wall
+//! times vary).
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -208,18 +211,6 @@ pub struct EngineConfig {
     /// forces the sequential path. Any value yields bit-identical
     /// estimates — threads only change wall time.
     pub threads: usize,
-    /// Minimum summed solve cost (local terms + constraint rows, see
-    /// `component_cost`) per parallel task: a session refresh greedily
-    /// fuses consecutive dirty components — in canonical component order —
-    /// into batches reaching this floor, and each batch dispatches as one
-    /// worker task solving its components sequentially over a shared
-    /// scratch arena. Realistic workloads fragment into hundreds of tiny
-    /// components whose per-task dispatch overhead rivals the solve
-    /// itself; batching amortizes it. `0` disables fusion (one component
-    /// per task, the historical dispatch). Like `threads`, any value is
-    /// **bit-identical**: batching only changes which worker runs a
-    /// component, never its local system or the merge order.
-    pub batch_min_cost: u64,
     /// Warm-start dirty component re-solves in the
     /// [`crate::analyst::Analyst`] session from the previous refresh's dual
     /// vectors (`pm-solver`'s `*_from` entry points).
@@ -249,10 +240,6 @@ impl Default for EngineConfig {
             // exact-zero tolerance would mis-report them as failures.
             residual_limit: 1e-2,
             threads: 0,
-            // Roughly 20–30 Adult-scale tiny components per task: large
-            // enough that dispatch stops dominating, small enough to keep
-            // hundreds of batches for the pool to balance.
-            batch_min_cost: 1024,
             warm_start: false,
         }
     }
@@ -314,12 +301,6 @@ impl EngineConfigBuilder {
     /// Sets [`EngineConfig::threads`].
     pub fn threads(mut self, threads: usize) -> Self {
         self.config.threads = threads;
-        self
-    }
-
-    /// Sets [`EngineConfig::batch_min_cost`].
-    pub fn batch_min_cost(mut self, batch_min_cost: u64) -> Self {
-        self.config.batch_min_cost = batch_min_cost;
         self
     }
 
@@ -617,9 +598,9 @@ impl Engine {
 
 /// Reusable per-worker scratch for [`solve_component`]: every buffer the
 /// localisation stage needs, cleared (not freed) between solves, so a
-/// worker that processes a whole batch of components performs the
-/// localisation with **zero steady-state allocations** — capacities warm
-/// up to the batch's largest component and stay. Constraint rows are
+/// worker that processes many components performs the localisation with
+/// **zero steady-state allocations** — capacities warm up to the largest
+/// component the worker has drawn and stay. Constraint rows are
 /// assembled **contiguously per component** ([`FlatRows`] CSR-style
 /// storage: one coefficient buffer + prefix-sum bounds), replacing the
 /// per-row `Vec` clones and the per-term `HashMap` the historical path
@@ -656,9 +637,8 @@ pub(crate) struct SolveScratch {
 ///
 /// `warm` maps a global constraint index to a dual seed (the session's dual
 /// cache); `None` cold-starts from the origin, which is the bit-stable
-/// path. `scratch` is cleared before use, so a reused (batch) scratch and
-/// a fresh one produce identical results — only allocation traffic
-/// differs.
+/// path. `scratch` is cleared before use, so a reused scratch and a fresh
+/// one produce identical results — only allocation traffic differs.
 pub(crate) fn solve_component(
     config: &EngineConfig,
     table: &PublishedTable,

@@ -85,7 +85,6 @@
 #![warn(missing_docs)]
 
 pub mod analyst;
-mod batch;
 pub mod compile;
 pub mod compiled;
 pub mod constraint;

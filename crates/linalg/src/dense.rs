@@ -39,15 +39,6 @@ pub fn norm_inf(x: &[f64]) -> f64 {
     x.iter().fold(0.0, |m, v| m.max(v.abs()))
 }
 
-/// Elementwise difference norm `‖x − y‖∞`.
-#[inline]
-pub fn diff_inf(x: &[f64], y: &[f64]) -> f64 {
-    debug_assert_eq!(x.len(), y.len());
-    x.iter()
-        .zip(y)
-        .fold(0.0, |m, (a, b)| m.max((a - b).abs()))
-}
-
 /// Copies `src` into `dst`.
 #[inline]
 pub fn copy(src: &[f64], dst: &mut [f64]) {
@@ -69,7 +60,6 @@ mod tests {
         assert_eq!(y, [3.0, 4.5, 6.0]);
         assert!((norm2(&[3.0, 4.0]) - 5.0).abs() < 1e-15);
         assert_eq!(norm_inf(&[-7.0, 2.0]), 7.0);
-        assert_eq!(diff_inf(&[1.0, 5.0], &[2.0, 5.0]), 1.0);
     }
 
     #[test]

@@ -149,12 +149,6 @@ impl CsrMatrix {
         }
     }
 
-    /// Dot product of row `r` with `x`.
-    #[inline]
-    pub fn row_dot(&self, r: usize, x: &[f64]) -> f64 {
-        self.row(r).map(|(c, v)| v * x[c]).sum()
-    }
-
     /// Returns the dense representation (tests / tiny problems only).
     pub fn to_dense(&self) -> Vec<Vec<f64>> {
         let mut d = vec![vec![0.0; self.ncols]; self.nrows];
@@ -253,7 +247,6 @@ mod tests {
         let mut z = vec![0.0; 3];
         m.matvec_transpose(&[1.0, 2.0], &mut z);
         assert_eq!(z, vec![1.0, 6.0, 2.0]);
-        assert_eq!(m.row_dot(0, &[1.0, 0.0, 0.5]), 2.0);
     }
 
     #[test]

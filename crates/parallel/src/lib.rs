@@ -12,13 +12,12 @@
 //! The offline build environment has no crates registry, so `rayon` is not
 //! an option — the surface here is the minimal subset the engine needs:
 //!
-//! * [`map`] / [`map_chunked`] — parallel indexed map preserving input
-//!   order. Output `i` is always the result for input `i`, regardless of
-//!   which worker computed it or when, so callers that merge results in
-//!   input order are deterministic by construction.
-//! * [`map_subset`] — dirty-set scheduling: map only a caller-chosen set of
-//!   indices (the incremental session engine's dirty components), results
-//!   aligned with the subset.
+//! * [`map`] / [`map_with`] — parallel indexed map preserving input
+//!   order, the latter with per-worker scratch state. Output `i` is always
+//!   the result for input `i`, regardless of which worker computed it or
+//!   when, so callers that merge results in input order are deterministic
+//!   by construction. The chunk size comes from the item and worker
+//!   counts; no caller picks one.
 //! * [`broadcast`] — one scoped thread per task, for driving N independent
 //!   concurrent *sessions* (shared-artifact `Analyst` handles) rather than
 //!   load-balancing a batch.
@@ -54,43 +53,22 @@ fn default_chunk(num_items: usize, threads: usize) -> usize {
     (num_items / (threads * 4)).max(1)
 }
 
-/// Parallel indexed map with an automatically chosen chunk size.
+/// Parallel indexed map.
 ///
 /// Calls `f(i, &items[i])` for every `i` and returns the results in input
 /// order. `threads` follows the [`resolve_threads`] convention (`0` =
 /// all cores); with one effective worker the map runs on the calling
 /// thread with no pool at all.
+///
+/// # Panics
+/// Propagates a panic of `f` on any item.
 pub fn map<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    let threads = resolve_threads(threads);
-    map_chunked(threads, default_chunk(items.len(), threads), items, f)
-}
-
-/// Parallel indexed map over a *subset* of `items` — dirty-set scheduling.
-///
-/// Incremental callers (the `privacy-maxent` session engine) keep a full
-/// slate of components but only need a few *dirty* ones re-solved per
-/// refresh; this schedules exactly `indices` on the pool and returns
-/// `f(i, &items[i])` for each `i` in `indices`, **in `indices` order** —
-/// so a caller that merges results in a fixed dirty-set order stays
-/// deterministic for every thread count, exactly like [`map`].
-///
-/// Duplicate indices are allowed (each occurrence is computed); `threads`
-/// follows the [`resolve_threads`] convention.
-///
-/// # Panics
-/// Panics if any index is out of bounds, or (propagated) if `f` panics.
-pub fn map_subset<T, R, F>(threads: usize, items: &[T], indices: &[usize], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    map(threads, indices, |_, &i| f(i, &items[i]))
+    map_with(threads, items, || (), |(), i, t| f(i, t))
 }
 
 /// Runs `f(0), f(1), …, f(tasks - 1)` on `tasks` concurrent scoped
@@ -127,58 +105,39 @@ where
     })
 }
 
-/// Parallel indexed map with an explicit chunk size.
-///
-/// Workers repeatedly claim the next `chunk` items from a shared cursor
-/// until the input is exhausted (work stealing over chunks). Results are
-/// returned in input order whatever the claim interleaving was.
-///
-/// # Panics
-/// Panics if `chunk == 0`, or (propagated) if `f` panics on any item.
-pub fn map_chunked<T, R, F>(threads: usize, chunk: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    map_chunked_with(threads, chunk, items, || (), |(), i, t| f(i, t))
-}
-
-/// [`map_chunked`] with **per-worker state**: each worker calls `init()`
+/// [`map`] with **per-worker state**: each worker calls `init()`
 /// exactly once and threads the resulting value mutably through every item
 /// it processes.
 ///
-/// This is the scratch-arena shape: a worker that draws a batch of tiny
-/// solver tasks reuses one warm allocation arena across all of them
-/// instead of cold-starting per item. The state is worker-local — `f` gets
-/// `&mut S` without locks — and is dropped when the worker finishes; it
-/// never migrates between workers. Correctness must not depend on *which*
-/// items share a state: callers (the engine's batched component solves)
-/// treat `S` as a cache whose contents are cleared, not trusted, at each
-/// item, keeping results bit-identical for every thread count and claim
-/// interleaving.
+/// Workers repeatedly claim the next chunk of items from a shared cursor
+/// until the input is exhausted (work stealing over chunks); the chunk
+/// size gives each worker about four claims. Results are returned in input
+/// order whatever the claim interleaving was.
+///
+/// This is the scratch-arena shape: a worker that draws many tiny solver
+/// tasks reuses one warm allocation arena across all of them instead of
+/// cold-starting per item. The state is worker-local — `f` gets `&mut S`
+/// without locks — and is dropped when the worker finishes; it never
+/// migrates between workers. Correctness must not depend on *which* items
+/// share a state: callers (the engine's component solves) treat `S` as a
+/// cache whose contents are cleared, not trusted, at each item, keeping
+/// results bit-identical for every thread count and claim interleaving.
 ///
 /// With one effective worker everything runs on the calling thread with a
 /// single `init()` — the serial path exercises the exact same reuse.
 ///
 /// # Panics
-/// Panics if `chunk == 0`, or (propagated) if `init` or `f` panics.
-pub fn map_chunked_with<T, S, R, FS, F>(
-    threads: usize,
-    chunk: usize,
-    items: &[T],
-    init: FS,
-    f: F,
-) -> Vec<R>
+/// Propagates a panic of `init` or `f`.
+pub fn map_with<T, S, R, FS, F>(threads: usize, items: &[T], init: FS, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     FS: Fn() -> S + Sync,
     F: Fn(&mut S, usize, &T) -> R + Sync,
 {
-    assert!(chunk > 0, "chunk size must be positive");
-    let num_chunks = items.len().div_ceil(chunk);
-    let workers = resolve_threads(threads).min(num_chunks);
+    let threads = resolve_threads(threads);
+    let chunk = default_chunk(items.len(), threads);
+    let workers = threads.min(items.len().div_ceil(chunk));
     if workers <= 1 {
         let mut state = init();
         return items.iter().enumerate().map(|(i, t)| f(&mut state, i, t)).collect();
@@ -250,15 +209,6 @@ mod tests {
     }
 
     #[test]
-    fn explicit_chunk_sizes() {
-        let items: Vec<usize> = (0..97).collect();
-        for chunk in [1, 2, 7, 97, 1000] {
-            let out = map_chunked(4, chunk, &items, |_, &x| x + 1);
-            assert_eq!(out, (1..98).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
     fn empty_and_singleton_inputs() {
         let empty: Vec<u8> = Vec::new();
         assert!(map(8, &empty, |_, &x| x).is_empty());
@@ -267,42 +217,19 @@ mod tests {
 
     #[test]
     fn more_threads_than_items() {
-        let out = map_chunked(64, 1, &[1, 2, 3], |_, &x| x * x);
+        let out = map(64, &[1, 2, 3], |_, &x| x * x);
         assert_eq!(out, vec![1, 4, 9]);
     }
 
     #[test]
     fn every_item_processed_exactly_once() {
         let counters: Vec<AtomicU64> = (0..256).map(|_| AtomicU64::new(0)).collect();
-        map_chunked(8, 3, &(0..256).collect::<Vec<usize>>(), |_, &i| {
+        map(8, &(0..256).collect::<Vec<usize>>(), |_, &i| {
             counters[i].fetch_add(1, Ordering::Relaxed)
         });
         for (i, c) in counters.iter().enumerate() {
             assert_eq!(c.load(Ordering::Relaxed), 1, "item {i}");
         }
-    }
-
-    #[test]
-    fn subset_scheduling_preserves_subset_order() {
-        let items: Vec<usize> = (0..100).map(|x| x * 10).collect();
-        let dirty = [17usize, 3, 99, 3, 0];
-        for threads in [1, 2, 8] {
-            let out = map_subset(threads, &items, &dirty, |i, &v| {
-                assert_eq!(v, i * 10);
-                v + 1
-            });
-            assert_eq!(out, vec![171, 31, 991, 31, 1]);
-        }
-        let none: [usize; 0] = [];
-        assert!(map_subset(4, &items, &none, |_, &v| v).is_empty());
-    }
-
-    #[test]
-    fn subset_out_of_bounds_panics() {
-        let result = std::panic::catch_unwind(|| {
-            map_subset(2, &[1, 2, 3], &[0, 7], |_, &v: &i32| v)
-        });
-        assert!(result.is_err());
     }
 
     #[test]
@@ -316,7 +243,7 @@ mod tests {
     #[test]
     fn worker_panic_propagates() {
         let result = std::panic::catch_unwind(|| {
-            map_chunked(4, 1, &(0..32).collect::<Vec<usize>>(), |_, &x| {
+            map(4, &(0..32).collect::<Vec<usize>>(), |_, &x| {
                 assert!(x != 17, "boom at 17");
                 x
             })
@@ -325,20 +252,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "chunk size must be positive")]
-    fn zero_chunk_rejected() {
-        map_chunked(2, 0, &[1], |_, &x: &i32| x);
-    }
-
-    #[test]
     fn per_worker_state_initialised_once_per_worker() {
         let inits = AtomicU64::new(0);
         let items: Vec<usize> = (0..200).collect();
         for threads in [1, 2, 4] {
             inits.store(0, Ordering::SeqCst);
-            let out = map_chunked_with(
+            let out = map_with(
                 threads,
-                3,
                 &items,
                 || {
                     inits.fetch_add(1, Ordering::SeqCst);
@@ -363,26 +283,27 @@ mod tests {
 
     #[test]
     fn per_worker_state_reused_across_chunks() {
-        // One worker, chunk 1 over many items: a single state must see
-        // every item (reuse across chunk claims, not per-chunk re-init).
+        // Each output is how many items its worker's state has seen.
         let items: Vec<usize> = (0..57).collect();
-        let out = map_chunked_with(
-            1,
-            1,
-            &items,
-            Vec::<usize>::new,
-            |seen, _, &x| {
-                seen.push(x);
-                seen.len()
-            },
-        );
+        let count = |seen: &mut Vec<usize>, _: usize, &x: &usize| {
+            seen.push(x);
+            seen.len()
+        };
+        // One worker: a single state sees every item in order.
+        let out = map_with(1, &items, Vec::<usize>::new, count);
         assert_eq!(out, (1..=57).collect::<Vec<_>>());
+        // Two workers claim chunks of 7: one of them claims several, and
+        // its one state counts past a single chunk.
+        let out = map_with(2, &items, Vec::<usize>::new, count);
+        let states = out.iter().filter(|&&n| n == 1).count();
+        assert!((1..=2).contains(&states), "{states} states for 2 workers");
+        assert!(*out.iter().max().unwrap() > default_chunk(items.len(), 2));
     }
 
     #[test]
-    fn map_chunked_with_panic_propagates() {
+    fn map_with_panic_propagates() {
         let result = std::panic::catch_unwind(|| {
-            map_chunked_with(4, 1, &(0..32).collect::<Vec<usize>>(), || 0u64, |_, _, &x| {
+            map_with(4, &(0..32).collect::<Vec<usize>>(), || 0u64, |_, _, &x| {
                 assert!(x != 9, "boom at 9");
                 x
             })

@@ -467,6 +467,9 @@ impl<S: Service> EventLoop<S> {
                 conn.state = Some(completion.state);
             }
             self.apply_outcome(token, completion.outcome, now);
+            // Complete frames left in inbuf while the queue was throttled
+            // may get no further readiness event to extract them.
+            self.extract_frames(token, now);
             self.submit_next(token);
             self.maybe_finish(token, now);
         }
@@ -602,6 +605,13 @@ impl<S: Service> EventLoop<S> {
                     budget = budget.saturating_sub(n);
                     if budget == 0 || n < READ_CHUNK {
                         break; // level-triggered poll re-reports leftovers
+                    }
+                    // Parse as we go and stop once the pending queue
+                    // throttles: unread bytes stay in the kernel, where
+                    // they backpressure the peer, instead of in inbuf.
+                    self.extract_frames(token, now);
+                    if !self.conns.get(token).is_some_and(Conn::wants_read) {
+                        break;
                     }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,

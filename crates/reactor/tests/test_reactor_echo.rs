@@ -106,6 +106,25 @@ fn pipelined_frames_answer_in_order() {
     }
 }
 
+/// More pipelined frames than the pending queue holds, all in one write:
+/// the frames left unparsed when the queue throttles must still be
+/// answered, though no further bytes arrive to wake the reader.
+#[test]
+fn pipelined_frames_past_the_pending_queue_all_answer() {
+    let reactor = boot(Config::default());
+    let mut c = TcpStream::connect(reactor.addr()).expect("connect");
+    let mut blob = Vec::new();
+    for i in 0..200u8 {
+        blob.extend_from_slice(&frame(&[i]));
+    }
+    c.write_all(&blob).expect("write");
+    c.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+    for i in 0..200u8 {
+        let r = read_frame(&mut c).unwrap_or_else(|| panic!("frame {i} never answered"));
+        assert_eq!(payload(&r), &[i], "responses must keep request order");
+    }
+}
+
 #[test]
 fn partial_frames_span_readiness_events() {
     let reactor = boot(Config::default());

@@ -12,7 +12,6 @@
 //! * [`lbfgs`] — limited-memory BFGS with a strong-Wolfe line search
 //!   (two-loop recursion, Nocedal & Wright Algorithms 3.5/3.6 and 7.4/7.5),
 //! * [`gradient`] — steepest descent with the same line search,
-//! * [`newton`] — damped Newton with dense Cholesky (small problems),
 //! * [`scaling`] — GIS (Darroch–Ratcliff) and IIS (Della Pietra et al.)
 //!   iterative scaling, specialised to the maxent dual,
 //! * [`maxent`] — the dual objective `g(λ) = Σᵢ exp(aᵢᵀλ − 1) − cᵀλ`
@@ -28,10 +27,8 @@
 //! incremental `Analyst` session in `privacy-maxent` feeds with the
 //! previous refresh's multipliers:
 //!
-//! * [`Lbfgs::minimize`], [`conjugate_gradient::conjugate_gradient`],
-//!   [`newton::newton_maxent`] and [`gradient::gradient_descent`] take the
-//!   start point `x0` / `lambda0` directly — pass the cached dual instead
-//!   of zeros.
+//! * [`Lbfgs::minimize`] and [`gradient::gradient_descent`] take the start
+//!   point `x0` directly — pass the cached dual instead of zeros.
 //! * The iterative-scaling solvers historically hard-coded the origin;
 //!   [`scaling::gis_from`], [`scaling::gis_with_primal_from`] and
 //!   [`scaling::iis_from`] are their warm-start entry points (the zero-seed
@@ -42,12 +39,10 @@
 //! solver stops at. Callers that promise bit-identical re-solves must seed
 //! from zero.
 
-pub mod conjugate_gradient;
 pub mod gradient;
 pub mod lbfgs;
 pub mod line_search;
 pub mod maxent;
-pub mod newton;
 pub mod objective;
 pub mod scaling;
 pub mod stats;

@@ -200,8 +200,8 @@
 //! | [`pm_anonymize`] | Anatomy / Mondrian bucketizers, pseudonyms, `D'` |
 //! | [`pm_assoc`] | Top-(K+, K−) association-rule mining |
 //! | [`pm_linalg`] | dense + CSR sparse kernels |
-//! | [`pm_solver`] | GIS/IIS, gradient, CG, L-BFGS, Newton maxent solvers (warm-startable) |
-//! | [`pm_parallel`] | scoped work-stealing executor, dirty-set scheduling, broadcast |
+//! | [`pm_solver`] | GIS/IIS, gradient, L-BFGS maxent solvers (warm-startable) |
+//! | [`pm_parallel`] | scoped work-stealing executor with per-worker scratch state, broadcast |
 //! | [`privacy_maxent`] | invariants, knowledge compilation, `CompiledTable` artifact, `Analyst` sessions |
 //! | [`pm_datagen`] | Adult-census-like and synthetic generators |
 //! | `pm-bench` | Figure 5-7 pipelines, `parallel_bench`, `incremental_bench`, `concurrent_bench`, `table_delta_bench` |

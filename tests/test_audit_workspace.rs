@@ -172,20 +172,20 @@ fn seeded_lock_order_violation_in_real_registry_is_caught() {
 
 #[test]
 fn seeded_hash_iteration_in_real_batcher_is_caught() {
-    // The batch planner's output order IS the merge order (bit-identity
-    // anchor), so the determinism rule must cover it: seed a plan that
-    // iterates a hash-ordered set into the batch list.
-    let src = std::fs::read_to_string(workspace_root().join("crates/core/src/batch.rs"))
-        .expect("read batch.rs");
+    // The session's dispatch order IS the merge order (bit-identity
+    // anchor), so the determinism rule must cover the module that sets it:
+    // seed a dispatch list built by iterating a hash-ordered set.
+    let src = std::fs::read_to_string(workspace_root().join("crates/core/src/analyst.rs"))
+        .expect("read analyst.rs");
     let base_lines = src.lines().count() as u32;
     // Named so it cannot collide with real bindings: the rule's hash-name
     // pass is file-global.
     let mutated = format!(
         "{src}fn seeded_plan(seeded_set: HashSet<usize>) -> Vec<usize> {{\n    let mut order = Vec::new();\n    for ci in seeded_set.iter() {{\n        order.push(*ci);\n    }}\n    order\n}}\n"
     );
-    let (clean, _) = audit_source(&SourceFile::parse("crates/core/src/batch.rs", &src));
-    assert!(clean.is_empty(), "today's batch.rs must be clean: {clean:?}");
-    let (d, _) = audit_source(&SourceFile::parse("crates/core/src/batch.rs", &mutated));
+    let (clean, _) = audit_source(&SourceFile::parse("crates/core/src/analyst.rs", &src));
+    assert!(clean.is_empty(), "today's analyst.rs must be clean: {clean:?}");
+    let (d, _) = audit_source(&SourceFile::parse("crates/core/src/analyst.rs", &mutated));
     let hits: Vec<&pm_audit::Diagnostic> =
         d.iter().filter(|d| d.rule == "determinism").collect();
     assert_eq!(hits.len(), 1, "{d:?}");

@@ -29,151 +29,40 @@
 use std::process::ExitCode;
 
 use pm_bench::cohort::{run, CohortBenchConfig};
+use pm_bench::harness::{self, Gate, Positive};
 
-struct Gates {
-    min_conns: Option<usize>,
-    max_threads: Option<usize>,
-    max_accept_ratio: Option<f64>,
-    max_ping_ratio: Option<f64>,
-}
-
-fn parse(argv: &[String]) -> Result<(CohortBenchConfig, String, Gates), String> {
-    let mut cfg = CohortBenchConfig::default();
-    let mut out = "BENCH_cohort.json".to_string();
-    let mut gates = Gates {
-        min_conns: None,
-        max_threads: None,
-        max_accept_ratio: None,
-        max_ping_ratio: None,
-    };
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next().cloned().ok_or_else(|| format!("{name} expects a value"))
-        };
-        match flag.as_str() {
-            "--connections" => {
-                cfg.connections = value("--connections")?
-                    .parse()
-                    .map_err(|_| "bad --connections".to_string())?;
-            }
-            "--tenants" => {
-                cfg.tenants =
-                    value("--tenants")?.parse().map_err(|_| "bad --tenants".to_string())?;
-            }
-            "--rounds" => {
-                cfg.rounds =
-                    value("--rounds")?.parse().map_err(|_| "bad --rounds".to_string())?;
-            }
-            "--workers" => {
-                cfg.workers =
-                    value("--workers")?.parse().map_err(|_| "bad --workers".to_string())?;
-            }
-            "--out" => out = value("--out")?,
-            "--min-conns" => {
-                gates.min_conns = Some(
-                    value("--min-conns")?.parse().map_err(|_| "bad --min-conns".to_string())?,
-                );
-            }
-            "--max-threads" => {
-                gates.max_threads = Some(
-                    value("--max-threads")?
-                        .parse()
-                        .map_err(|_| "bad --max-threads".to_string())?,
-                );
-            }
-            "--max-accept-ratio" => {
-                gates.max_accept_ratio = Some(
-                    value("--max-accept-ratio")?
-                        .parse()
-                        .map_err(|_| "bad --max-accept-ratio".to_string())?,
-                );
-            }
-            "--max-ping-ratio" => {
-                gates.max_ping_ratio = Some(
-                    value("--max-ping-ratio")?
-                        .parse()
-                        .map_err(|_| "bad --max-ping-ratio".to_string())?,
-                );
-            }
-            other => return Err(format!("unknown flag `{other}`")),
-        }
-    }
-    if cfg.connections == 0 || cfg.tenants == 0 || cfg.workers == 0 {
-        return Err("--connections, --tenants and --workers must be positive".to_string());
-    }
-    Ok((cfg, out, gates))
-}
+const BIN: &str = "cohort_bench";
 
 fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let (cfg, out, gates) = match parse(&argv) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("cohort_bench: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let mut cfg = CohortBenchConfig::default();
+    let mut out = "BENCH_cohort.json".to_string();
+    let (mut min_conns, mut max_threads) = (None, None);
+    let (mut max_accept_ratio, mut max_ping_ratio) = (None, None);
+    if let Err(e) = harness::parse_flags(
+        std::env::args().skip(1),
+        &mut [
+            ("--connections", &mut Positive(&mut cfg.connections)),
+            ("--tenants", &mut Positive(&mut cfg.tenants)),
+            ("--rounds", &mut cfg.rounds),
+            ("--workers", &mut Positive(&mut cfg.workers)),
+            ("--out", &mut out),
+            ("--min-conns", &mut min_conns),
+            ("--max-threads", &mut max_threads),
+            ("--max-accept-ratio", &mut max_accept_ratio),
+            ("--max-ping-ratio", &mut max_ping_ratio),
+        ],
+    ) {
+        return harness::fail(BIN, &e);
+    }
     let report = run(&cfg);
     report.print_table();
-    if let Err(e) = std::fs::write(&out, report.to_json()) {
-        eprintln!("cohort_bench: cannot write {out}: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("\nwrote {out}");
-
-    let mut failed = false;
-    if let Some(bar) = gates.min_conns {
-        if report.idle.connections < bar {
-            eprintln!(
-                "cohort_bench: held {} connection(s), below the --min-conns bar {bar}",
-                report.idle.connections
-            );
-            failed = true;
-        } else {
-            println!("min-conns gate passed: {} >= {bar}", report.idle.connections);
-        }
-    }
-    if let Some(bar) = gates.max_threads {
-        if report.io_threads > bar {
-            eprintln!(
-                "cohort_bench: {} fixed server thread(s) exceeds the --max-threads bar {bar}",
-                report.io_threads
-            );
-            failed = true;
-        } else {
-            println!("max-threads gate passed: {} <= {bar}", report.io_threads);
-        }
-    }
-    if let Some(bar) = gates.max_accept_ratio {
-        if report.accept_ratio > bar {
-            eprintln!(
-                "cohort_bench: accept flatness ratio {:.2} exceeds the \
-                 --max-accept-ratio bar {bar:.2}",
-                report.accept_ratio
-            );
-            failed = true;
-        } else {
-            println!(
-                "max-accept-ratio gate passed: {:.2} <= {bar:.2}",
-                report.accept_ratio
-            );
-        }
-    }
-    if let Some(bar) = gates.max_ping_ratio {
-        if report.ping_ratio > bar {
-            eprintln!(
-                "cohort_bench: ping drift ratio {:.2} exceeds the --max-ping-ratio \
-                 bar {bar:.2}",
-                report.ping_ratio
-            );
-            failed = true;
-        } else {
-            println!("max-ping-ratio gate passed: {:.2} <= {bar:.2}", report.ping_ratio);
-        }
-    }
-    if failed {
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    let count = |n: Option<usize>| n.map(|n| n as f64);
+    let (conns, threads) = (report.idle.connections as f64, report.io_threads as f64);
+    let gates = [
+        Gate::at_least("--min-conns", "connections held", count(min_conns), conns),
+        Gate::at_most("--max-threads", "fixed server threads", count(max_threads), threads),
+        Gate::at_most("--max-accept-ratio", "accept ratio", max_accept_ratio, report.accept_ratio),
+        Gate::at_most("--max-ping-ratio", "ping drift ratio", max_ping_ratio, report.ping_ratio),
+    ];
+    harness::finish(BIN, &out, &report.to_json(), None, &gates)
 }

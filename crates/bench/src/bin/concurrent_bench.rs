@@ -13,11 +13,12 @@
 //!     --threads N             engine worker threads per solve         [default: 1]
 //!     --out PATH              JSON report path      [default: BENCH_concurrent.json]
 //!     --min-open-speedup X    fail unless open is X times faster than a full
-//!                             Analyst::new. Self-skipping: when the full
-//!                             Analyst::new baseline is too fast to time
-//!                             reliably (< 20 ms) the gate is skipped with a
-//!                             note, so tiny smoke workloads don't flake — the
-//!                             Adult-scale CI run enforces it.  [default: off]
+//!                             Analyst::new (median of 3). Self-skipping: when
+//!                             the 3 timed Analyst::new calls together take
+//!                             under 20 ms, too little to time reliably, the
+//!                             gate is skipped with a note, so quick-scale
+//!                             smoke runs don't flake — the Adult-scale CI
+//!                             run (~30 ms) enforces it.       [default: off]
 //! ```
 //!
 //! Always fails if any concurrent fork's estimate is not bit-identical to
@@ -26,123 +27,42 @@
 use std::process::ExitCode;
 
 use pm_bench::concurrent::{run, ConcurrentBenchConfig};
-use pm_bench::pipeline::Scale;
+use pm_bench::harness::{self, Gate, Positive, Rules, BASELINE_FLOOR_SECONDS};
 
-/// Minimum full-`Analyst::new` wall time for the speedup gate to be
-/// meaningful.
-const GATE_FLOOR_SECONDS: f64 = 0.020;
-
-fn parse(argv: &[String]) -> Result<(ConcurrentBenchConfig, String, Option<f64>), String> {
-    let mut cfg = ConcurrentBenchConfig::default();
-    let mut rules = 300usize;
-    let mut out = "BENCH_concurrent.json".to_string();
-    let mut min_speedup = None;
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next().cloned().ok_or_else(|| format!("{name} expects a value"))
-        };
-        match flag.as_str() {
-            "--scale" => {
-                cfg.scale = match value("--scale")?.as_str() {
-                    "quick" => Scale::Quick,
-                    "full" => Scale::Full,
-                    other => return Err(format!("unknown scale `{other}`")),
-                };
-            }
-            "--seed" => {
-                cfg.seed = value("--seed")?.parse().map_err(|_| "bad --seed".to_string())?;
-            }
-            "--arity" => {
-                cfg.arity = value("--arity")?.parse().map_err(|_| "bad --arity".to_string())?;
-            }
-            "--rules" => {
-                rules = value("--rules")?.parse().map_err(|_| "bad --rules".to_string())?;
-            }
-            "--sessions" => {
-                cfg.sessions =
-                    value("--sessions")?.parse().map_err(|_| "bad --sessions".to_string())?;
-            }
-            "--opens" => {
-                cfg.opens = value("--opens")?.parse().map_err(|_| "bad --opens".to_string())?;
-            }
-            "--threads" => {
-                cfg.threads =
-                    value("--threads")?.parse().map_err(|_| "bad --threads".to_string())?;
-            }
-            "--out" => out = value("--out")?,
-            "--min-open-speedup" => {
-                min_speedup = Some(
-                    value("--min-open-speedup")?
-                        .parse::<f64>()
-                        .map_err(|_| "bad --min-open-speedup".to_string())?,
-                );
-            }
-            other => return Err(format!("unknown flag `{other}`")),
-        }
-    }
-    if cfg.arity == 0 {
-        return Err("--arity must be positive".to_string());
-    }
-    if cfg.sessions == 0 {
-        return Err("--sessions must be positive".to_string());
-    }
-    if cfg.opens == 0 {
-        return Err("--opens must be positive".to_string());
-    }
-    cfg.k_positive = rules / 2;
-    cfg.k_negative = rules - rules / 2;
-    if cfg.sessions >= cfg.k_positive {
-        return Err("--sessions must be smaller than the positive rule budget".to_string());
-    }
-    Ok((cfg, out, min_speedup))
-}
+const BIN: &str = "concurrent_bench";
 
 fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let (cfg, out, min_speedup) = match parse(&argv) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("concurrent_bench: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let mut cfg = ConcurrentBenchConfig::default();
+    let mut out = "BENCH_concurrent.json".to_string();
+    let mut min_open_speedup = None;
+    if let Err(e) = harness::parse_flags(
+        std::env::args().skip(1),
+        &mut [
+            ("--scale", &mut cfg.scale),
+            ("--seed", &mut cfg.seed),
+            ("--arity", &mut Positive(&mut cfg.arity)),
+            ("--rules", &mut Rules(&mut cfg.k_positive, &mut cfg.k_negative)),
+            ("--sessions", &mut Positive(&mut cfg.sessions)),
+            ("--opens", &mut Positive(&mut cfg.opens)),
+            ("--threads", &mut cfg.threads),
+            ("--out", &mut out),
+            ("--min-open-speedup", &mut min_open_speedup),
+        ],
+    ) {
+        return harness::fail(BIN, &e);
+    }
+    if cfg.sessions >= cfg.k_positive {
+        return harness::fail(BIN, "--sessions must be smaller than the positive rule budget");
+    }
     let report = run(&cfg);
     report.print_table();
-    if let Err(e) = std::fs::write(&out, report.to_json()) {
-        eprintln!("concurrent_bench: cannot write {out}: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("\nwrote {out}");
-    if !report.all_identical() {
-        eprintln!(
-            "concurrent_bench: a concurrent fork diverged bitwise from its \
-             independent from-scratch estimate!"
-        );
-        return ExitCode::FAILURE;
-    }
-    if let Some(bar) = min_speedup {
-        let new_secs = report.analyst_new.as_secs_f64();
-        if new_secs < GATE_FLOOR_SECONDS {
-            println!(
-                "min-open-speedup gate skipped: full Analyst::new baseline \
-                 ({:.1} ms) is below the {:.0} ms timing floor",
-                new_secs * 1e3,
-                GATE_FLOOR_SECONDS * 1e3
-            );
-        } else if report.open_speedup < bar {
-            eprintln!(
-                "concurrent_bench: open speedup {:.1}x is below the \
-                 --min-open-speedup bar {bar:.1}x",
-                report.open_speedup
-            );
-            return ExitCode::FAILURE;
-        } else {
-            println!(
-                "min-open-speedup gate passed: {:.0}x >= {bar:.1}x",
-                report.open_speedup
-            );
-        }
-    }
-    ExitCode::SUCCESS
+    // The floor reads every timed Analyst::new, not just the median one.
+    let timed = report.analyst_new.total.as_secs_f64();
+    let gate =
+        Gate::at_least("--min-open-speedup", "open speedup", min_open_speedup, report.open_speedup)
+            .floor("Analyst::new total over the repeats", timed, BASELINE_FLOOR_SECONDS);
+    let diverged = (!report.all_identical()).then(|| {
+        "a concurrent fork diverged bitwise from its independent from-scratch estimate!".to_string()
+    });
+    harness::finish(BIN, &out, &report.to_json(), diverged, &[gate])
 }

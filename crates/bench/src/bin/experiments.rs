@@ -7,48 +7,19 @@
 //! Default scale is `quick` (2,500 records, arities ≤ 3, minutes);
 //! `--full` runs the paper's scale (14,210 records / 2,842 buckets /
 //! arities ≤ 8), which takes substantially longer on the Figure 5/6
-//! sweeps. See `EXPERIMENTS.md` for recorded outputs.
+//! sweeps. Any other argument exits 1 with a message naming it.
 
-use pm_bench::figures;
-use pm_bench::pipeline::Scale;
+use std::process::ExitCode;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = if args.iter().any(|a| a == "--full") {
-        Scale::Full
-    } else {
-        Scale::Quick
-    };
-    let seed = args
-        .iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1u64);
-    let seed_value_pos = args.iter().position(|a| a == "--seed").map(|i| i + 1);
-    let which: Vec<&str> = args
-        .iter()
-        .enumerate()
-        .filter(|&(i, a)| !a.starts_with("--") && Some(i) != seed_value_pos)
-        .map(|(_, a)| a.as_str())
-        .collect();
-    let run_all = which.is_empty() || which.contains(&"all");
+use pm_bench::figures::Experiments;
+use pm_bench::harness;
 
-    println!(
-        "Privacy-MaxEnt experiment harness — scale: {scale:?}, seed: {seed}\n\
-         (accuracy = weighted KL distance; lower = adversary closer to truth)"
-    );
-    if run_all || which.contains(&"fig5") {
-        figures::figure5(scale, seed);
-    }
-    if run_all || which.contains(&"fig6") {
-        figures::figure6(scale, seed);
-    }
-    if run_all || which.contains(&"fig7a") {
-        figures::figure7a(scale, seed);
-    }
-    if run_all || which.contains(&"fig7b") || which.contains(&"fig7c") {
-        // 7(b) and 7(c) share one sweep: time and iterations per point.
-        figures::figure7bc(scale, seed);
+fn main() -> ExitCode {
+    match Experiments::parse(std::env::args().skip(1)) {
+        Ok(experiments) => {
+            experiments.run();
+            ExitCode::SUCCESS
+        }
+        Err(e) => harness::fail("experiments", &e),
     }
 }

@@ -23,119 +23,41 @@
 
 use std::process::ExitCode;
 
+use pm_bench::harness::{self, Gate, Positive, Rules, BASELINE_FLOOR_SECONDS};
 use pm_bench::incremental::{run, IncrementalBenchConfig};
-use pm_bench::pipeline::Scale;
 
-/// Minimum from-scratch wall time for the speedup gate to be meaningful.
-const GATE_FLOOR_SECONDS: f64 = 0.020;
-
-fn parse(argv: &[String]) -> Result<(IncrementalBenchConfig, String, Option<f64>), String> {
-    let mut cfg = IncrementalBenchConfig::default();
-    let mut rules = 300usize;
-    let mut out = "BENCH_incremental.json".to_string();
-    let mut min_speedup = None;
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next().cloned().ok_or_else(|| format!("{name} expects a value"))
-        };
-        match flag.as_str() {
-            "--scale" => {
-                cfg.scale = match value("--scale")?.as_str() {
-                    "quick" => Scale::Quick,
-                    "full" => Scale::Full,
-                    other => return Err(format!("unknown scale `{other}`")),
-                };
-            }
-            "--seed" => {
-                cfg.seed = value("--seed")?.parse().map_err(|_| "bad --seed".to_string())?;
-            }
-            "--arity" => {
-                cfg.arity = value("--arity")?.parse().map_err(|_| "bad --arity".to_string())?;
-            }
-            "--rules" => {
-                rules = value("--rules")?.parse().map_err(|_| "bad --rules".to_string())?;
-            }
-            "--deltas" => {
-                cfg.deltas =
-                    value("--deltas")?.parse().map_err(|_| "bad --deltas".to_string())?;
-            }
-            "--threads" => {
-                cfg.threads =
-                    value("--threads")?.parse().map_err(|_| "bad --threads".to_string())?;
-            }
-            "--out" => out = value("--out")?,
-            "--min-delta-speedup" => {
-                min_speedup = Some(
-                    value("--min-delta-speedup")?
-                        .parse::<f64>()
-                        .map_err(|_| "bad --min-delta-speedup".to_string())?,
-                );
-            }
-            other => return Err(format!("unknown flag `{other}`")),
-        }
-    }
-    if cfg.arity == 0 {
-        return Err("--arity must be positive".to_string());
-    }
-    if cfg.deltas == 0 {
-        return Err("--deltas must be positive".to_string());
-    }
-    cfg.k_positive = rules / 2;
-    cfg.k_negative = rules - rules / 2;
-    if cfg.deltas >= cfg.k_positive {
-        return Err("--deltas must be smaller than the positive rule budget".to_string());
-    }
-    Ok((cfg, out, min_speedup))
-}
+const BIN: &str = "incremental_bench";
 
 fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let (cfg, out, min_speedup) = match parse(&argv) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("incremental_bench: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let mut cfg = IncrementalBenchConfig::default();
+    let mut out = "BENCH_incremental.json".to_string();
+    let mut min_delta_speedup = None;
+    if let Err(e) = harness::parse_flags(
+        std::env::args().skip(1),
+        &mut [
+            ("--scale", &mut cfg.scale),
+            ("--seed", &mut cfg.seed),
+            ("--arity", &mut Positive(&mut cfg.arity)),
+            ("--rules", &mut Rules(&mut cfg.k_positive, &mut cfg.k_negative)),
+            ("--deltas", &mut Positive(&mut cfg.deltas)),
+            ("--threads", &mut cfg.threads),
+            ("--out", &mut out),
+            ("--min-delta-speedup", &mut min_delta_speedup),
+        ],
+    ) {
+        return harness::fail(BIN, &e);
+    }
+    if cfg.deltas >= cfg.k_positive {
+        return harness::fail(BIN, "--deltas must be smaller than the positive rule budget");
+    }
     let report = run(&cfg);
     report.print_table();
-    if let Err(e) = std::fs::write(&out, report.to_json()) {
-        eprintln!("incremental_bench: cannot write {out}: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("\nwrote {out}");
-    if !report.all_identical() {
-        eprintln!(
-            "incremental_bench: a delta refresh diverged bitwise from the \
-             from-scratch estimate!"
-        );
-        return ExitCode::FAILURE;
-    }
-    if let Some(bar) = min_speedup {
-        let scratch_floor = report
-            .runs
-            .iter()
-            .map(|r| r.from_scratch.as_secs_f64())
-            .fold(f64::INFINITY, f64::min);
-        if scratch_floor < GATE_FLOOR_SECONDS {
-            println!(
-                "min-delta-speedup gate skipped: from-scratch baseline \
-                 ({:.1} ms) is below the {:.0} ms timing floor",
-                scratch_floor * 1e3,
-                GATE_FLOOR_SECONDS * 1e3
-            );
-        } else {
-            let median = report.median_speedup();
-            if median < bar {
-                eprintln!(
-                    "incremental_bench: median delta speedup {median:.2}x is below \
-                     the --min-delta-speedup bar {bar:.2}x"
-                );
-                return ExitCode::FAILURE;
-            }
-            println!("min-delta-speedup gate passed: median {median:.2}x >= {bar:.2}x");
-        }
-    }
-    ExitCode::SUCCESS
+    let fastest = report.runs.iter().map(|r| r.from_scratch.as_secs_f64()).fold(f64::MAX, f64::min);
+    let speedup = report.median_speedup();
+    let gate =
+        Gate::at_least("--min-delta-speedup", "median delta speedup", min_delta_speedup, speedup)
+            .floor("from-scratch baseline", fastest, BASELINE_FLOOR_SECONDS);
+    let diverged = (!report.all_identical())
+        .then(|| "a delta refresh diverged bitwise from the from-scratch estimate!".to_string());
+    harness::finish(BIN, &out, &report.to_json(), diverged, &[gate])
 }

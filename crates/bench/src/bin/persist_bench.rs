@@ -10,11 +10,13 @@
 //!     --threads N             engine worker threads                   [default: 1]
 //!     --out PATH              JSON report path         [default: BENCH_persist.json]
 //!     --min-load-speedup X    fail unless the cold snapshot load is X times
-//!                             faster than CompiledTable::build. Self-skipping:
-//!                             when the build baseline is too fast to time
-//!                             reliably (< 20 ms) the gate is skipped with a
-//!                             note, so tiny smoke workloads don't flake — the
-//!                             Adult-scale CI run enforces it.   [default: off]
+//!                             faster than CompiledTable::build (medians over
+//!                             --repeats). Self-skipping: when the timed builds
+//!                             together take under 20 ms, too little to time
+//!                             reliably, the gate is skipped with a note, so
+//!                             quick-scale smoke runs don't flake — the
+//!                             Adult-scale CI run (5 repeats, ~50 ms) enforces
+//!                             it.                               [default: off]
 //! ```
 //!
 //! Always fails if the loaded artifact is not bit-identical to the built
@@ -23,110 +25,38 @@
 
 use std::process::ExitCode;
 
+use pm_bench::harness::{self, Gate, Positive, BASELINE_FLOOR_SECONDS};
 use pm_bench::persist::{run, PersistBenchConfig};
-use pm_bench::pipeline::Scale;
 
-/// Minimum `CompiledTable::build` wall time for the speedup gate to be
-/// meaningful.
-const GATE_FLOOR_SECONDS: f64 = 0.020;
-
-fn parse(argv: &[String]) -> Result<(PersistBenchConfig, String, Option<f64>), String> {
-    let mut cfg = PersistBenchConfig::default();
-    let mut out = "BENCH_persist.json".to_string();
-    let mut min_speedup = None;
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next().cloned().ok_or_else(|| format!("{name} expects a value"))
-        };
-        match flag.as_str() {
-            "--scale" => {
-                cfg.scale = match value("--scale")?.as_str() {
-                    "quick" => Scale::Quick,
-                    "full" => Scale::Full,
-                    other => return Err(format!("unknown scale `{other}`")),
-                };
-            }
-            "--seed" => {
-                cfg.seed = value("--seed")?.parse().map_err(|_| "bad --seed".to_string())?;
-            }
-            "--repeats" => {
-                cfg.repeats =
-                    value("--repeats")?.parse().map_err(|_| "bad --repeats".to_string())?;
-            }
-            "--epochs" => {
-                cfg.epochs =
-                    value("--epochs")?.parse().map_err(|_| "bad --epochs".to_string())?;
-            }
-            "--threads" => {
-                cfg.threads =
-                    value("--threads")?.parse().map_err(|_| "bad --threads".to_string())?;
-            }
-            "--out" => out = value("--out")?,
-            "--min-load-speedup" => {
-                min_speedup = Some(
-                    value("--min-load-speedup")?
-                        .parse::<f64>()
-                        .map_err(|_| "bad --min-load-speedup".to_string())?,
-                );
-            }
-            other => return Err(format!("unknown flag `{other}`")),
-        }
-    }
-    if cfg.repeats == 0 {
-        return Err("--repeats must be positive".to_string());
-    }
-    if cfg.epochs == 0 {
-        return Err("--epochs must be positive".to_string());
-    }
-    Ok((cfg, out, min_speedup))
-}
+const BIN: &str = "persist_bench";
 
 fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let (cfg, out, min_speedup) = match parse(&argv) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("persist_bench: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let mut cfg = PersistBenchConfig::default();
+    let mut out = "BENCH_persist.json".to_string();
+    let mut min_load_speedup = None;
+    if let Err(e) = harness::parse_flags(
+        std::env::args().skip(1),
+        &mut [
+            ("--scale", &mut cfg.scale),
+            ("--seed", &mut cfg.seed),
+            ("--repeats", &mut Positive(&mut cfg.repeats)),
+            ("--epochs", &mut Positive(&mut cfg.epochs)),
+            ("--threads", &mut cfg.threads),
+            ("--out", &mut out),
+            ("--min-load-speedup", &mut min_load_speedup),
+        ],
+    ) {
+        return harness::fail(BIN, &e);
+    }
     let report = run(&cfg);
     report.print_table();
-    if let Err(e) = std::fs::write(&out, report.to_json()) {
-        eprintln!("persist_bench: cannot write {out}: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("\nwrote {out}");
-    if !report.identical {
-        eprintln!(
-            "persist_bench: the loaded or recovered artifact diverged bitwise \
-             from the in-memory one!"
-        );
-        return ExitCode::FAILURE;
-    }
-    if let Some(bar) = min_speedup {
-        let build_secs = report.build.as_secs_f64();
-        if build_secs < GATE_FLOOR_SECONDS {
-            println!(
-                "min-load-speedup gate skipped: CompiledTable::build baseline \
-                 ({:.1} ms) is below the {:.0} ms timing floor",
-                build_secs * 1e3,
-                GATE_FLOOR_SECONDS * 1e3
-            );
-        } else if report.load_speedup < bar {
-            eprintln!(
-                "persist_bench: load speedup {:.1}x is below the \
-                 --min-load-speedup bar {bar:.1}x",
-                report.load_speedup
-            );
-            return ExitCode::FAILURE;
-        } else {
-            println!(
-                "min-load-speedup gate passed: {:.1}x >= {bar:.1}x",
-                report.load_speedup
-            );
-        }
-    }
-    ExitCode::SUCCESS
+    // The floor reads every timed build, not just the median one.
+    let timed = report.build.total.as_secs_f64();
+    let gate =
+        Gate::at_least("--min-load-speedup", "load speedup", min_load_speedup, report.load_speedup)
+            .floor("CompiledTable::build total over the repeats", timed, BASELINE_FLOOR_SECONDS);
+    let diverged = (!report.identical).then(|| {
+        "the loaded or recovered artifact diverged bitwise from the in-memory one!".to_string()
+    });
+    harness::finish(BIN, &out, &report.to_json(), diverged, &[gate])
 }

@@ -27,131 +27,49 @@
 
 use std::process::ExitCode;
 
-use pm_bench::pipeline::Scale;
+use pm_bench::harness::{self, Gate, Positive, WALL_FLOOR_SECONDS};
 use pm_bench::serve::{run, ServeBenchConfig};
-use pm_serve::server::Backend;
 
-/// Below this wall time the qps figure is quantisation noise, so an armed
-/// `--min-qps` gate self-skips (with a note) instead of flaking.
-const GATE_FLOOR_SECONDS: f64 = 0.25;
+const BIN: &str = "serve_bench";
 
-fn parse(argv: &[String]) -> Result<(ServeBenchConfig, String, Option<f64>), String> {
+fn main() -> ExitCode {
     let mut cfg = ServeBenchConfig::default();
     let mut out = "BENCH_serve.json".to_string();
     let mut min_qps = None;
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next().cloned().ok_or_else(|| format!("{name} expects a value"))
-        };
-        match flag.as_str() {
-            "--scale" => {
-                cfg.scale = match value("--scale")?.as_str() {
-                    "quick" => Scale::Quick,
-                    "full" => Scale::Full,
-                    other => return Err(format!("unknown scale `{other}`")),
-                };
-            }
-            "--seed" => {
-                cfg.seed = value("--seed")?.parse().map_err(|_| "bad --seed".to_string())?;
-            }
-            "--tenants" => {
-                cfg.tenants =
-                    value("--tenants")?.parse().map_err(|_| "bad --tenants".to_string())?;
-            }
-            "--phases" => {
-                cfg.phases =
-                    value("--phases")?.parse().map_err(|_| "bad --phases".to_string())?;
-            }
-            "--batches" => {
-                cfg.batches_per_phase =
-                    value("--batches")?.parse().map_err(|_| "bad --batches".to_string())?;
-            }
-            "--batch" => {
-                cfg.batch = value("--batch")?.parse().map_err(|_| "bad --batch".to_string())?;
-            }
-            "--samples" => {
-                cfg.samples_per_phase =
-                    value("--samples")?.parse().map_err(|_| "bad --samples".to_string())?;
-            }
-            "--rules" => {
-                cfg.rules = value("--rules")?.parse().map_err(|_| "bad --rules".to_string())?;
-            }
-            "--deltas" => {
-                cfg.deltas =
-                    value("--deltas")?.parse().map_err(|_| "bad --deltas".to_string())?;
-            }
-            "--threads" => {
-                cfg.threads =
-                    value("--threads")?.parse().map_err(|_| "bad --threads".to_string())?;
-            }
-            "--backend" => {
-                cfg.backend = match value("--backend")?.as_str() {
-                    "reactor" => Backend::default(),
-                    "threaded" => Backend::Threaded,
-                    other => return Err(format!("unknown backend `{other}`")),
-                };
-            }
-            "--out" => out = value("--out")?,
-            "--min-qps" => {
-                min_qps = Some(
-                    value("--min-qps")?
-                        .parse::<f64>()
-                        .map_err(|_| "bad --min-qps".to_string())?,
-                );
-            }
-            other => return Err(format!("unknown flag `{other}`")),
-        }
+    if let Err(e) = harness::parse_flags(
+        std::env::args().skip(1),
+        &mut [
+            ("--scale", &mut cfg.scale),
+            ("--seed", &mut cfg.seed),
+            ("--tenants", &mut Positive(&mut cfg.tenants)),
+            ("--phases", &mut Positive(&mut cfg.phases)),
+            ("--batches", &mut cfg.batches_per_phase),
+            ("--batch", &mut Positive(&mut cfg.batch)),
+            // The replay needs samples to verify.
+            ("--samples", &mut Positive(&mut cfg.samples_per_phase)),
+            ("--rules", &mut cfg.rules),
+            ("--deltas", &mut cfg.deltas),
+            ("--threads", &mut cfg.threads),
+            ("--backend", &mut cfg.backend),
+            ("--out", &mut out),
+            ("--min-qps", &mut min_qps),
+        ],
+    ) {
+        return harness::fail(BIN, &e);
     }
-    if cfg.tenants == 0 || cfg.phases == 0 || cfg.batch == 0 {
-        return Err("--tenants, --phases and --batch must be positive".to_string());
-    }
-    if cfg.samples_per_phase == 0 {
-        return Err("--samples must be positive (the replay needs samples to verify)".to_string());
-    }
-    Ok((cfg, out, min_qps))
-}
-
-fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let (cfg, out, min_qps) = match parse(&argv) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("serve_bench: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
     let report = run(&cfg);
     report.print_table();
-    if let Err(e) = std::fs::write(&out, report.to_json()) {
-        eprintln!("serve_bench: cannot write {out}: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("\nwrote {out}");
-    if !report.identical {
-        eprintln!(
-            "serve_bench: {} of {} sampled response(s) diverged bitwise from the \
-             direct Analyst replay!",
+    let wall = report.wall.as_secs_f64();
+    let gate = Gate::at_least("--min-qps", "queries/s", min_qps, report.qps).floor(
+        "closed-loop wall",
+        wall,
+        WALL_FLOOR_SECONDS,
+    );
+    let diverged = (!report.identical).then(|| {
+        format!(
+            "{} of {} sampled response(s) diverged bitwise from the direct Analyst replay!",
             report.mismatches, report.samples
-        );
-        return ExitCode::FAILURE;
-    }
-    if let Some(bar) = min_qps {
-        let wall = report.wall.as_secs_f64();
-        if wall < GATE_FLOOR_SECONDS {
-            println!(
-                "min-qps gate skipped: {wall:.3} s wall is below the \
-                 {GATE_FLOOR_SECONDS:.2} s timing floor"
-            );
-        } else if report.qps < bar {
-            eprintln!(
-                "serve_bench: {:.0} queries/s is below the --min-qps bar {bar:.0}",
-                report.qps
-            );
-            return ExitCode::FAILURE;
-        } else {
-            println!("min-qps gate passed: {:.0} queries/s >= {bar:.0}", report.qps);
-        }
-    }
-    ExitCode::SUCCESS
+        )
+    });
+    harness::finish(BIN, &out, &report.to_json(), diverged, &[gate])
 }

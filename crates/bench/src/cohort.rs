@@ -27,7 +27,8 @@ use pm_serve::loadgen::{run_idle, IdleOptions, IdleReport};
 use pm_serve::registry::{Limits, Registry};
 use pm_serve::server::{Backend, Server};
 use privacy_maxent::compiled::CompiledTable;
-use privacy_maxent::engine::EngineConfig;
+
+use crate::harness::{engine_config, Json};
 
 /// Configuration of one cohort run.
 #[derive(Debug, Clone)]
@@ -84,8 +85,8 @@ pub struct CohortBenchReport {
 #[must_use]
 pub fn run(cfg: &CohortBenchConfig) -> CohortBenchReport {
     let (_, table) = paper_example();
-    let config = EngineConfig::builder().threads(1).residual_limit(f64::INFINITY).build();
-    let artifact = Arc::new(CompiledTable::build(table, config).expect("baseline solves"));
+    let artifact =
+        Arc::new(CompiledTable::build(table, engine_config(1)).expect("baseline solves"));
     let limits = Limits {
         max_connections: cfg.connections + 16,
         max_tenants: cfg.tenants.max(1) + 16,
@@ -127,43 +128,31 @@ pub fn run(cfg: &CohortBenchConfig) -> CohortBenchReport {
 }
 
 impl CohortBenchReport {
-    /// Serialises the report as pretty-printed JSON (hand-rolled: the
-    /// offline workspace has no serde).
+    /// Serialises the report as pretty-printed JSON.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n");
-        s.push_str("  \"bench\": \"cohort\",\n");
-        s.push_str(&format!("  \"connections\": {},\n", self.idle.connections));
-        s.push_str(&format!("  \"tenants\": {},\n", self.tenants));
-        s.push_str(&format!("  \"workers\": {},\n", self.workers));
-        s.push_str(&format!("  \"io_threads\": {},\n", self.io_threads));
-        s.push_str(&format!(
-            "  \"available_parallelism\": {},\n",
-            self.available_parallelism
-        ));
-        s.push_str(&format!(
-            "  \"accept_early_p50_us\": {:.1},\n",
-            self.idle.accept_early_p50_us
-        ));
-        s.push_str(&format!(
-            "  \"accept_late_p50_us\": {:.1},\n",
-            self.idle.accept_late_p50_us
-        ));
-        s.push_str(&format!("  \"accept_p99_us\": {:.1},\n", self.idle.accept_p99_us));
-        s.push_str(&format!("  \"accept_ratio\": {:.3},\n", self.accept_ratio));
-        s.push_str(&format!("  \"ping_ratio\": {:.3},\n", self.ping_ratio));
-        s.push_str("  \"ping_rounds\": [\n");
-        for (i, round) in self.idle.rounds.iter().enumerate() {
-            let comma = if i + 1 < self.idle.rounds.len() { "," } else { "" };
-            s.push_str(&format!(
-                "    {{\"p50_us\": {:.1}, \"p99_us\": {:.1}, \"max_us\": {:.1}}}{comma}\n",
-                round.p50_us, round.p99_us, round.max_us
-            ));
-        }
-        s.push_str("  ],\n");
-        s.push_str(&format!("  \"wall_seconds\": {:.6}\n", self.idle.wall_seconds));
-        s.push_str("}\n");
-        s
+        Json::report("cohort")
+            .field("connections", self.idle.connections)
+            .field("tenants", self.tenants)
+            .field("workers", self.workers)
+            .field("io_threads", self.io_threads)
+            .field("available_parallelism", self.available_parallelism)
+            .fixed("accept_early_p50_us", self.idle.accept_early_p50_us, 1)
+            .fixed("accept_late_p50_us", self.idle.accept_late_p50_us, 1)
+            .fixed("accept_p99_us", self.idle.accept_p99_us, 1)
+            .fixed("accept_ratio", self.accept_ratio, 3)
+            .fixed("ping_ratio", self.ping_ratio, 3)
+            .rows(
+                "ping_rounds",
+                self.idle.rounds.iter().map(|round| {
+                    Json::default()
+                        .fixed("p50_us", round.p50_us, 1)
+                        .fixed("p99_us", round.p99_us, 1)
+                        .fixed("max_us", round.max_us, 1)
+                }),
+            )
+            .fixed("wall_seconds", self.idle.wall_seconds, 6)
+            .render()
     }
 
     /// Human-readable summary (stdout companion of the JSON artifact).

@@ -23,15 +23,11 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use pm_anonymize::anatomy::{AnatomyBucketizer, AnatomyConfig};
-use pm_anonymize::published::PublishedTable;
-use pm_assoc::miner::{MinerConfig, RuleMiner};
-use pm_datagen::adult::{AdultGenerator, AdultGeneratorConfig};
 use privacy_maxent::analyst::Analyst;
 use privacy_maxent::compiled::CompiledTable;
-use privacy_maxent::engine::{Engine, EngineConfig};
-use privacy_maxent::knowledge::{Knowledge, KnowledgeBase};
+use privacy_maxent::engine::Engine;
 
+use crate::harness::{engine_config, knowledge_base, Adult, Header, Json, Timing};
 use crate::pipeline::Scale;
 
 /// Configuration of one concurrent-sessions sweep.
@@ -77,58 +73,6 @@ impl Default for ConcurrentBenchConfig {
     }
 }
 
-fn engine_config(threads: usize) -> EngineConfig {
-    // Mirrors the incremental bench: mined knowledge is always feasible but
-    // boundary-heavy systems converge asymptotically, so the residual gate
-    // is left open.
-    EngineConfig::builder()
-        .residual_limit(f64::INFINITY)
-        .threads(threads)
-        .build()
-}
-
-/// The generated workload: publication, shared base knowledge, and one
-/// disjoint single-rule delta per concurrent session.
-struct Workload {
-    records: usize,
-    table: PublishedTable,
-    base: Vec<Knowledge>,
-    deltas: Vec<Knowledge>,
-    rules: usize,
-}
-
-fn build_workload(cfg: &ConcurrentBenchConfig) -> Workload {
-    let data = AdultGenerator::new(AdultGeneratorConfig {
-        records: cfg.scale.records(),
-        seed: cfg.seed,
-    })
-    .generate();
-    let table = AnatomyBucketizer::new(AnatomyConfig { ell: 5, exempt_top: 1 })
-        .publish(&data)
-        .expect("bucketization succeeds at bench scale");
-    let mined = RuleMiner::new(MinerConfig { min_support: 3, arities: vec![cfg.arity] })
-        .mine(&data);
-    let picked = mined.top_k(cfg.k_positive, cfg.k_negative);
-    let items: Vec<Knowledge> = picked
-        .iter()
-        .map(|r| Knowledge::from_rule(r, data.schema()).expect("mined rules are valid"))
-        .collect();
-    let rules = items.len();
-    // One informative delta per session, taken from the tail of the
-    // positive block so each fork re-solves a real component; the base is
-    // everything else, in session insertion order.
-    let k_pos = cfg.k_positive.min(mined.positive.len());
-    let n_deltas = cfg.sessions.min(k_pos);
-    let delta_start = k_pos - n_deltas;
-    let deltas: Vec<Knowledge> = items[delta_start..k_pos].to_vec();
-    let base: Vec<Knowledge> = items[..delta_start]
-        .iter()
-        .chain(&items[k_pos..])
-        .cloned()
-        .collect();
-    Workload { records: data.len(), table, base, deltas, rules }
-}
-
 /// One concurrent fork's measurements, produced on its own thread.
 #[derive(Debug, Clone)]
 pub struct ForkRun {
@@ -145,14 +89,8 @@ pub struct ForkRun {
 /// The full report — everything `BENCH_concurrent.json` records.
 #[derive(Debug, Clone)]
 pub struct ConcurrentBenchReport {
-    /// Workload scale label (`"quick"` / `"full"`).
-    pub scale: String,
-    /// Generator seed.
-    pub seed: u64,
-    /// Records in the workload.
-    pub records: usize,
-    /// Buckets in the publication.
-    pub buckets: usize,
+    /// The workload.
+    pub header: Header,
     /// Antecedent arity of the mined knowledge.
     pub arity: usize,
     /// Background-knowledge rules in the shared base set + deltas.
@@ -161,15 +99,16 @@ pub struct ConcurrentBenchReport {
     pub threads: usize,
     /// Cores the host reports.
     pub available_parallelism: usize,
-    /// Median wall time of a full `Analyst::new` (compile + baseline).
-    pub analyst_new: Duration,
+    /// Wall times of the `new_repeats` full `Analyst::new` calls (compile
+    /// + baseline); the report records their median.
+    pub analyst_new: Timing,
     /// Wall time of the one `CompiledTable::build` the sessions share.
     pub artifact_build: Duration,
     /// Mean wall time of one `Analyst::open` over the shared artifact.
     pub session_open: Duration,
     /// Timed open iterations behind `session_open`.
     pub opens: usize,
-    /// `analyst_new / session_open` — the compile-once payoff.
+    /// `analyst_new.median / session_open` — the compile-once payoff.
     pub open_speedup: f64,
     /// The concurrent fork runs, in session order.
     pub forks: Vec<ForkRun>,
@@ -181,65 +120,43 @@ impl ConcurrentBenchReport {
         self.forks.iter().all(|f| f.identical_to_scratch)
     }
 
-    /// Serialises the report as pretty-printed JSON (hand-rolled: the
-    /// offline workspace has no serde).
+    /// Serialises the report as pretty-printed JSON.
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n");
-        s.push_str("  \"bench\": \"concurrent_sessions\",\n");
-        s.push_str(&format!("  \"scale\": \"{}\",\n", self.scale));
-        s.push_str(&format!("  \"seed\": {},\n", self.seed));
-        s.push_str(&format!("  \"records\": {},\n", self.records));
-        s.push_str(&format!("  \"buckets\": {},\n", self.buckets));
-        s.push_str(&format!("  \"arity\": {},\n", self.arity));
-        s.push_str(&format!("  \"rules\": {},\n", self.rules));
-        s.push_str(&format!("  \"threads\": {},\n", self.threads));
-        s.push_str(&format!(
-            "  \"available_parallelism\": {},\n",
-            self.available_parallelism
-        ));
-        s.push_str(&format!(
-            "  \"analyst_new_seconds\": {:.6},\n",
-            self.analyst_new.as_secs_f64()
-        ));
-        s.push_str(&format!(
-            "  \"artifact_build_seconds\": {:.6},\n",
-            self.artifact_build.as_secs_f64()
-        ));
-        s.push_str(&format!(
-            "  \"session_open_seconds\": {:.9},\n",
-            self.session_open.as_secs_f64()
-        ));
-        s.push_str(&format!("  \"opens\": {},\n", self.opens));
-        s.push_str(&format!("  \"open_speedup\": {:.1},\n", self.open_speedup));
-        s.push_str(&format!("  \"sessions\": {},\n", self.forks.len()));
-        s.push_str(&format!("  \"all_identical\": {},\n", self.all_identical()));
-        s.push_str("  \"forks\": [\n");
-        for (i, f) in self.forks.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"fork_delta_seconds\": {:.6}, \"from_scratch_seconds\": {:.6}, \
-                 \"identical_to_scratch\": {}}}{}\n",
-                f.fork_delta.as_secs_f64(),
-                f.from_scratch.as_secs_f64(),
-                f.identical_to_scratch,
-                if i + 1 < self.forks.len() { "," } else { "" },
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
+        Json::report("concurrent_sessions")
+            .header(&self.header)
+            .field("arity", self.arity)
+            .field("rules", self.rules)
+            .field("threads", self.threads)
+            .field("available_parallelism", self.available_parallelism)
+            .secs("analyst_new_seconds", self.analyst_new.median)
+            .secs("artifact_build_seconds", self.artifact_build)
+            .fixed("session_open_seconds", self.session_open.as_secs_f64(), 9)
+            .field("opens", self.opens)
+            .fixed("open_speedup", self.open_speedup, 1)
+            .field("sessions", self.forks.len())
+            .field("all_identical", self.all_identical())
+            .rows(
+                "forks",
+                self.forks.iter().map(|f| {
+                    Json::default()
+                        .secs("fork_delta_seconds", f.fork_delta)
+                        .secs("from_scratch_seconds", f.from_scratch)
+                        .field("identical_to_scratch", f.identical_to_scratch)
+                }),
+            )
+            .render()
     }
 
     /// Human-readable table (stdout companion of the JSON artifact).
     pub fn print_table(&self) {
         println!(
-            "concurrent sessions — {} scale, seed {}: {} records, {} buckets, \
-             {} arity-{} rules, {} engine thread(s)",
-            self.scale, self.seed, self.records, self.buckets, self.rules, self.arity,
-            self.threads
+            "concurrent sessions — {}, {} arity-{} rules, {} engine thread(s)",
+            self.header, self.rules, self.arity, self.threads
         );
         println!(
             "full Analyst::new (median): {:.3} ms | CompiledTable::build: {:.3} ms | \
              Analyst::open (mean of {}): {:.6} ms",
-            self.analyst_new.as_secs_f64() * 1e3,
+            self.analyst_new.median.as_secs_f64() * 1e3,
             self.artifact_build.as_secs_f64() * 1e3,
             self.opens,
             self.session_open.as_secs_f64() * 1e3,
@@ -265,29 +182,22 @@ impl ConcurrentBenchReport {
 /// then fan the forks out across threads and bit-compare each against an
 /// independent from-scratch solve.
 pub fn run(cfg: &ConcurrentBenchConfig) -> ConcurrentBenchReport {
-    let w = build_workload(cfg);
+    let adult = Adult::generate(cfg.scale, cfg.seed);
+    let (base_items, deltas) =
+        adult.base_and_deltas(cfg.arity, cfg.k_positive, cfg.k_negative, cfg.sessions);
     let config = engine_config(cfg.threads);
 
     // Full `Analyst::new` — what every user of the old API paid per
     // session. Median over repeats (the first run also warms the workload
     // pages so the artifact path is not advantaged).
-    let mut new_times: Vec<Duration> = (0..cfg.new_repeats.max(1))
-        .map(|_| {
-            let table = w.table.clone();
-            let t = Instant::now();
-            let analyst = Analyst::new(table, config.clone()).expect("baseline solves");
-            let elapsed = t.elapsed();
-            std::hint::black_box(&analyst);
-            elapsed
-        })
-        .collect();
-    new_times.sort();
-    let analyst_new = new_times[new_times.len() / 2];
+    let (analyst_new, _) = Timing::repeat(cfg.new_repeats, || {
+        Analyst::new(adult.table.clone(), config.clone()).expect("baseline solves")
+    });
 
     // The shared artifact, built once…
     let build_start = Instant::now();
     let artifact = Arc::new(
-        CompiledTable::build(w.table.clone(), config.clone()).expect("baseline solves"),
+        CompiledTable::build(adult.table.clone(), config.clone()).expect("baseline solves"),
     );
     let artifact_build = build_start.elapsed();
 
@@ -299,32 +209,29 @@ pub fn run(cfg: &ConcurrentBenchConfig) -> ConcurrentBenchReport {
         std::hint::black_box(&session);
     }
     let session_open = open_start.elapsed() / opens as u32;
-    let open_speedup = analyst_new.as_secs_f64() / session_open.as_secs_f64().max(1e-12);
+    let open_speedup =
+        analyst_new.median.as_secs_f64() / session_open.as_secs_f64().max(1e-12);
 
     // The shared base session every thread forks from.
     let mut base = Analyst::open(Arc::clone(&artifact));
-    base.add_knowledge_batch(&w.base).expect("base knowledge compiles");
+    base.add_knowledge_batch(&base_items).expect("base knowledge compiles");
     base.refresh().expect("base knowledge is feasible");
 
     // One thread per fork: apply a disjoint single-rule delta, refresh,
     // and verify bitwise against an independent from-scratch solve.
     let engine = Engine::new(config.clone());
     let base_ref = &base;
-    let forks = pm_parallel::broadcast(w.deltas.len(), |i| {
-        let delta = w.deltas[i].clone();
+    let forks = pm_parallel::broadcast(deltas.len(), |i| {
+        let delta = deltas[i].clone();
         let t = Instant::now();
         let mut fork = base_ref.fork();
         let _ = fork.add_knowledge(delta.clone()).expect("delta compiles");
         fork.refresh().expect("delta is feasible");
         let fork_delta = t.elapsed();
 
-        let mut kb = KnowledgeBase::new();
-        for item in &w.base {
-            kb.push(item.clone()).expect("valid knowledge");
-        }
-        kb.push(delta).expect("valid knowledge");
+        let kb = knowledge_base(base_items.iter().cloned().chain([delta]));
         let t = Instant::now();
-        let scratch = engine.estimate(&w.table, &kb).expect("feasible");
+        let scratch = engine.estimate(&adult.table, &kb).expect("feasible");
         let from_scratch = t.elapsed();
 
         ForkRun {
@@ -335,15 +242,9 @@ pub fn run(cfg: &ConcurrentBenchConfig) -> ConcurrentBenchReport {
     });
 
     ConcurrentBenchReport {
-        scale: match cfg.scale {
-            Scale::Full => "full".to_string(),
-            Scale::Quick => "quick".to_string(),
-        },
-        seed: cfg.seed,
-        records: w.records,
-        buckets: w.table.num_buckets(),
+        header: adult.header.clone(),
         arity: cfg.arity,
-        rules: w.rules,
+        rules: base_items.len() + deltas.len(),
         threads: cfg.threads,
         available_parallelism: pm_parallel::available_parallelism(),
         analyst_new,
@@ -361,15 +262,15 @@ mod tests {
 
     fn tiny_report() -> ConcurrentBenchReport {
         ConcurrentBenchReport {
-            scale: "quick".into(),
-            seed: 7,
-            records: 100,
-            buckets: 20,
+            header: Header { scale: Scale::Quick, seed: 7, records: 100, buckets: 20 },
             arity: 4,
             rules: 10,
             threads: 1,
             available_parallelism: 8,
-            analyst_new: Duration::from_millis(40),
+            analyst_new: Timing {
+                median: Duration::from_millis(40),
+                total: Duration::from_millis(120),
+            },
             artifact_build: Duration::from_millis(41),
             session_open: Duration::from_micros(2),
             opens: 1000,

@@ -1,20 +1,18 @@
 //! Reproductions of the paper's result figures.
 //!
 //! Each function prints the same series the paper plots and returns the
-//! numbers for programmatic use (EXPERIMENTS.md records the paper-vs-
-//! measured comparison). Absolute numbers differ — our substrate is a
-//! synthetic Adult stand-in on different hardware — but the *shapes* are
-//! the reproduction target (see DESIGN.md §4).
+//! numbers for programmatic use. Absolute numbers differ — our substrate
+//! is a synthetic Adult stand-in on different hardware — but the *shapes*
+//! are the reproduction target.
 
 use std::time::Duration;
 
-use pm_anonymize::anatomy::{AnatomyBucketizer, AnatomyConfig};
-use pm_assoc::miner::{MinerConfig, RuleMiner};
 use pm_datagen::adult::{AdultGenerator, AdultGeneratorConfig};
 use privacy_maxent::engine::{Engine, EngineConfig};
 use privacy_maxent::knowledge::KnowledgeBase;
 use privacy_maxent::metrics::estimation_accuracy;
 
+use crate::harness::{engine_config, mine, publish, FlagValue};
 use crate::pipeline::{accuracy_for_rules, prepare, ExperimentData, Scale};
 
 /// One point of an accuracy-vs-K curve.
@@ -35,13 +33,6 @@ pub struct Curve {
     pub label: String,
     /// The series.
     pub points: Vec<AccuracyPoint>,
-}
-
-fn engine_config() -> EngineConfig {
-    // The accuracy experiments tolerate asymptotic boundary residuals; the
-    // worst observed is ~1e-1 of one record on the largest K, ≈ 1e-5 in
-    // probability — invisible in the KL metric (see EXPERIMENTS.md).
-    EngineConfig::builder().residual_limit(f64::INFINITY).build()
 }
 
 /// Performance-experiment config: the paper's timing runs report solves
@@ -74,7 +65,7 @@ fn curve_for(
     for &k in ks {
         let (kp, kn) = pick(k);
         let picked = exp.rules.top_k(kp, kn);
-        let (accuracy, stats) = accuracy_for_rules(exp, &picked, engine_config());
+        let (accuracy, stats) = accuracy_for_rules(exp, &picked, engine_config(0));
         points.push(AccuracyPoint { k, accuracy, solve_time: stats.total_elapsed });
     }
     Curve { label: label.to_string(), points }
@@ -127,14 +118,13 @@ pub fn figure6(scale: Scale, seed: u64) -> Vec<Curve> {
     let ks = k_grid(scale);
     let mut curves = Vec::new();
     for t in 1..=max_t {
-        let rules = RuleMiner::new(MinerConfig { min_support: 3, arities: vec![t] })
-            .mine(&exp.data);
+        let rules = mine(&exp.data, vec![t]);
         let mut points = Vec::new();
         for &k in &ks {
             let picked = rules.top_k(k / 2, k - k / 2);
             let kb = KnowledgeBase::from_rules(picked.iter().copied(), exp.data.schema())
                 .expect("mined rules valid");
-            let est = Engine::new(engine_config())
+            let est = Engine::new(engine_config(0))
                 .estimate(&exp.table, &kb)
                 .expect("mined knowledge feasible");
             points.push(AccuracyPoint {
@@ -222,14 +212,8 @@ pub fn figure7bc(scale: Scale, seed: u64) -> Vec<(usize, Vec<PerfPoint>)> {
         let mut series = Vec::new();
         for &n in &sizes {
             let data = full.head(n);
-            let table = AnatomyBucketizer::new(AnatomyConfig { ell: 5, exempt_top: 1 })
-                .publish(&data)
-                .expect("bucketization succeeds");
-            let rules = RuleMiner::new(MinerConfig {
-                min_support: 3,
-                arities: scale.arities(),
-            })
-            .mine(&data);
+            let table = publish(&data);
+            let rules = mine(&data, scale.arities());
             let picked = rules.top_k(kc / 2, kc - kc / 2);
             let kb = KnowledgeBase::from_rules(picked.iter().copied(), data.schema())
                 .expect("mined rules valid");
@@ -250,4 +234,95 @@ pub fn figure7bc(scale: Scale, seed: u64) -> Vec<(usize, Vec<PerfPoint>)> {
         results.push((kc, series));
     }
     results
+}
+
+/// The figures the `experiments` binary runs, from its command line:
+/// `[fig5|fig6|fig7a|fig7b|fig7c|all]... [--full] [--seed N]`. No figure
+/// named means all of them.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Experiments {
+    /// Paper scale with `--full`, else quick.
+    pub scale: Scale,
+    /// Generator seed (`--seed`, default 1).
+    pub seed: u64,
+    /// Figures named on the command line.
+    pub figures: Vec<String>,
+}
+
+impl Experiments {
+    /// Parses the arguments after the program name.
+    ///
+    /// # Errors
+    ///
+    /// Names the bad token: an unknown figure or flag, or a `--seed`
+    /// without a number after it.
+    pub fn parse<S: AsRef<str>>(argv: impl IntoIterator<Item = S>) -> Result<Self, String> {
+        let mut exp = Self { scale: Scale::Quick, seed: 1, figures: Vec::new() };
+        let mut argv = argv.into_iter();
+        while let Some(arg) = argv.next() {
+            match arg.as_ref() {
+                "--full" => exp.scale = Scale::Full,
+                "--seed" => {
+                    let raw = argv.next().ok_or("--seed expects a value")?;
+                    exp.seed.set(raw.as_ref()).map_err(|e| format!("bad --seed: {e}"))?;
+                }
+                fig @ ("fig5" | "fig6" | "fig7a" | "fig7b" | "fig7c" | "all") => {
+                    exp.figures.push(fig.to_string());
+                }
+                other => return Err(format!("unknown figure or flag `{other}`")),
+            }
+        }
+        Ok(exp)
+    }
+
+    fn wants(&self, figure: &str) -> bool {
+        self.figures.is_empty() || self.figures.iter().any(|f| f == figure || f == "all")
+    }
+
+    /// Runs the selected figures in paper order.
+    pub fn run(&self) {
+        println!(
+            "Privacy-MaxEnt experiment harness — scale: {:?}, seed: {}\n\
+             (accuracy = weighted KL distance; lower = adversary closer to truth)",
+            self.scale, self.seed
+        );
+        if self.wants("fig5") {
+            figure5(self.scale, self.seed);
+        }
+        if self.wants("fig6") {
+            figure6(self.scale, self.seed);
+        }
+        if self.wants("fig7a") {
+            figure7a(self.scale, self.seed);
+        }
+        if self.wants("fig7b") || self.wants("fig7c") {
+            // 7(b) and 7(c) share one sweep: time and iterations per point.
+            figure7bc(self.scale, self.seed);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn experiments_keeps_its_surface_and_names_bad_tokens() {
+        let all = Experiments::parse(Vec::<String>::new()).unwrap();
+        assert_eq!(all, Experiments { scale: Scale::Quick, seed: 1, figures: vec![] });
+        assert!(all.wants("fig5") && all.wants("fig7c"));
+        let some = Experiments::parse(["fig7b", "--full", "--seed", "7", "fig5"]).unwrap();
+        assert_eq!((some.scale, some.seed), (Scale::Full, 7));
+        assert!(some.wants("fig5") && some.wants("fig7b") && !some.wants("fig6"));
+        assert!(Experiments::parse(["all"]).unwrap().wants("fig6"));
+        for (argv, token) in [
+            (&["fig9", "--seed", "abc", "--ful"][..], "`fig9`"),
+            (&["fig5", "--ful"][..], "`--ful`"),
+            (&["--seed", "abc"][..], "`abc`"),
+            (&["--seed"][..], "--seed expects a value"),
+        ] {
+            let err = Experiments::parse(argv).unwrap_err();
+            assert!(err.contains(token), "{argv:?}: {err}");
+        }
+    }
 }

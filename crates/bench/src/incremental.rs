@@ -17,14 +17,10 @@
 
 use std::time::{Duration, Instant};
 
-use pm_anonymize::anatomy::{AnatomyBucketizer, AnatomyConfig};
-use pm_anonymize::published::PublishedTable;
-use pm_assoc::miner::{MinerConfig, RuleMiner};
-use pm_datagen::adult::{AdultGenerator, AdultGeneratorConfig};
 use privacy_maxent::analyst::Analyst;
-use privacy_maxent::engine::{Engine, EngineConfig, Estimate};
-use privacy_maxent::knowledge::{Knowledge, KnowledgeBase};
+use privacy_maxent::engine::{Engine, Estimate};
 
+use crate::harness::{engine_config, knowledge_base, median, Adult, Header, Json};
 use crate::pipeline::Scale;
 
 /// Configuration of one incremental sweep.
@@ -61,63 +57,6 @@ impl Default for IncrementalBenchConfig {
     }
 }
 
-fn engine_config(threads: usize, warm_start: bool) -> EngineConfig {
-    // Mirrors the figure experiments: mined knowledge is always feasible
-    // but boundary-heavy systems converge asymptotically, so the residual
-    // gate is left open (see `crate::figures::engine_config`).
-    EngineConfig::builder()
-        .residual_limit(f64::INFINITY)
-        .threads(threads)
-        .warm_start(warm_start)
-        .build()
-}
-
-/// The generated workload: publication, session-order base knowledge, and
-/// the single-rule deltas.
-struct Workload {
-    records: usize,
-    table: PublishedTable,
-    /// Knowledge held by the session before the measured deltas, in
-    /// insertion order.
-    base: Vec<Knowledge>,
-    /// The measured single-rule deltas, applied in order after `base`.
-    deltas: Vec<Knowledge>,
-    rules: usize,
-}
-
-fn build_workload(cfg: &IncrementalBenchConfig) -> Workload {
-    let data = AdultGenerator::new(AdultGeneratorConfig {
-        records: cfg.scale.records(),
-        seed: cfg.seed,
-    })
-    .generate();
-    let table = AnatomyBucketizer::new(AnatomyConfig { ell: 5, exempt_top: 1 })
-        .publish(&data)
-        .expect("bucketization succeeds at bench scale");
-    let mined = RuleMiner::new(MinerConfig { min_support: 3, arities: vec![cfg.arity] })
-        .mine(&data);
-    let picked = mined.top_k(cfg.k_positive, cfg.k_negative);
-    let items: Vec<Knowledge> = picked
-        .iter()
-        .map(|r| Knowledge::from_rule(r, data.schema()).expect("mined rules are valid"))
-        .collect();
-    let rules = items.len();
-    // Deltas come from the tail of the *positive* block (strong informative
-    // rules that re-solve a real component); the split keeps session
-    // insertion order = base order + delta order, which the from-scratch
-    // comparator reproduces.
-    let k_pos = cfg.k_positive.min(mined.positive.len());
-    let n_deltas = cfg.deltas.min(k_pos);
-    let delta_start = k_pos - n_deltas;
-    let deltas: Vec<Knowledge> = items[delta_start..k_pos].to_vec();
-    let base: Vec<Knowledge> = items[..delta_start]
-        .iter()
-        .chain(&items[k_pos..])
-        .cloned()
-        .collect();
-    Workload { records: data.len(), table, base, deltas, rules }
-}
-
 /// One measured single-rule delta.
 #[derive(Debug, Clone)]
 pub struct DeltaRun {
@@ -146,14 +85,8 @@ pub struct DeltaRun {
 /// The full report — everything `BENCH_incremental.json` records.
 #[derive(Debug, Clone)]
 pub struct IncrementalBenchReport {
-    /// Workload scale label (`"quick"` / `"full"`).
-    pub scale: String,
-    /// Generator seed.
-    pub seed: u64,
-    /// Records in the workload.
-    pub records: usize,
-    /// Buckets in the publication.
-    pub buckets: usize,
+    /// The workload.
+    pub header: Header,
     /// Antecedent arity of the mined knowledge.
     pub arity: usize,
     /// Background-knowledge rules in the final set.
@@ -174,12 +107,7 @@ pub struct IncrementalBenchReport {
 impl IncrementalBenchReport {
     /// Median over the per-delta speedups (robust to one noisy run).
     pub fn median_speedup(&self) -> f64 {
-        if self.runs.is_empty() {
-            return 0.0;
-        }
-        let mut s: Vec<f64> = self.runs.iter().map(|r| r.speedup).collect();
-        s.sort_by(|a, b| a.total_cmp(b));
-        s[s.len() / 2]
+        median(self.runs.iter().map(|r| r.speedup).collect(), f64::total_cmp).unwrap_or(0.0)
     }
 
     /// Whether every delta reproduced the from-scratch bits.
@@ -187,59 +115,41 @@ impl IncrementalBenchReport {
         self.runs.iter().all(|r| r.identical_to_scratch)
     }
 
-    /// Serialises the report as pretty-printed JSON (hand-rolled: the
-    /// offline workspace has no serde).
+    /// Serialises the report as pretty-printed JSON.
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n");
-        s.push_str("  \"bench\": \"incremental_session\",\n");
-        s.push_str(&format!("  \"scale\": \"{}\",\n", self.scale));
-        s.push_str(&format!("  \"seed\": {},\n", self.seed));
-        s.push_str(&format!("  \"records\": {},\n", self.records));
-        s.push_str(&format!("  \"buckets\": {},\n", self.buckets));
-        s.push_str(&format!("  \"arity\": {},\n", self.arity));
-        s.push_str(&format!("  \"rules\": {},\n", self.rules));
-        s.push_str(&format!("  \"threads\": {},\n", self.threads));
-        s.push_str(&format!(
-            "  \"available_parallelism\": {},\n",
-            self.available_parallelism
-        ));
-        s.push_str(&format!("  \"components\": {},\n", self.components));
-        s.push_str(&format!(
-            "  \"session_open_seconds\": {:.6},\n",
-            self.session_open.as_secs_f64()
-        ));
-        s.push_str(&format!("  \"median_speedup\": {:.3},\n", self.median_speedup()));
-        s.push_str(&format!("  \"all_identical\": {},\n", self.all_identical()));
-        s.push_str("  \"deltas\": [\n");
-        for (i, r) in self.runs.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"incremental_seconds\": {:.6}, \"from_scratch_seconds\": {:.6}, \
-                 \"speedup\": {:.3}, \"resolved\": {}, \"closed_form\": {}, \
-                 \"reused\": {}, \"identical_to_scratch\": {}, \
-                 \"warm_incremental_seconds\": {:.6}, \"warm_max_abs_delta\": {:.3e}}}{}\n",
-                r.incremental.as_secs_f64(),
-                r.from_scratch.as_secs_f64(),
-                r.speedup,
-                r.resolved,
-                r.closed_form,
-                r.reused,
-                r.identical_to_scratch,
-                r.warm_incremental.as_secs_f64(),
-                r.warm_max_abs_delta,
-                if i + 1 < self.runs.len() { "," } else { "" },
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
+        Json::report("incremental_session")
+            .header(&self.header)
+            .field("arity", self.arity)
+            .field("rules", self.rules)
+            .field("threads", self.threads)
+            .field("available_parallelism", self.available_parallelism)
+            .field("components", self.components)
+            .secs("session_open_seconds", self.session_open)
+            .fixed("median_speedup", self.median_speedup(), 3)
+            .field("all_identical", self.all_identical())
+            .rows(
+                "deltas",
+                self.runs.iter().map(|r| {
+                    Json::default()
+                        .secs("incremental_seconds", r.incremental)
+                        .secs("from_scratch_seconds", r.from_scratch)
+                        .fixed("speedup", r.speedup, 3)
+                        .field("resolved", r.resolved)
+                        .field("closed_form", r.closed_form)
+                        .field("reused", r.reused)
+                        .field("identical_to_scratch", r.identical_to_scratch)
+                        .secs("warm_incremental_seconds", r.warm_incremental)
+                        .field("warm_max_abs_delta", format_args!("{:.3e}", r.warm_max_abs_delta))
+                }),
+            )
+            .render()
     }
 
     /// Human-readable table (stdout companion of the JSON artifact).
     pub fn print_table(&self) {
         println!(
-            "incremental session — {} scale, seed {}: {} records, {} buckets, \
-             {} arity-{} rules, {} thread(s)",
-            self.scale, self.seed, self.records, self.buckets, self.rules, self.arity,
-            self.threads
+            "incremental session — {}, {} arity-{} rules, {} thread(s)",
+            self.header, self.rules, self.arity, self.threads
         );
         println!(
             "{} components; session open (base knowledge, full solve): {:.1} ms",
@@ -280,40 +190,34 @@ fn max_abs_delta(a: &Estimate, b: &Estimate) -> f64 {
 /// each single-rule delta against a from-scratch estimate of the same
 /// final set (plus the warm-started variant).
 pub fn run(cfg: &IncrementalBenchConfig) -> IncrementalBenchReport {
-    let w = build_workload(cfg);
-    let engine = Engine::new(engine_config(cfg.threads, false));
+    let adult = Adult::generate(cfg.scale, cfg.seed);
+    let (base, deltas) =
+        adult.base_and_deltas(cfg.arity, cfg.k_positive, cfg.k_negative, cfg.deltas);
+    let config = engine_config(cfg.threads);
+    let mut warm_config = config.clone();
+    warm_config.warm_start = true;
+    let engine = Engine::new(config.clone());
 
     // Base knowledge bases, session-insertion order.
-    let mut kb = KnowledgeBase::new();
-    for item in &w.base {
-        kb.push(item.clone()).expect("valid knowledge");
-    }
+    let mut kb = knowledge_base(base.iter().cloned());
 
     // Warmup: page the workload in so neither path is charged first-touch
     // costs, then open the measured sessions.
-    let _ = engine.estimate(&w.table, &kb).expect("base knowledge is feasible");
+    let _ = engine.estimate(&adult.table, &kb).expect("base knowledge is feasible");
     let open_start = Instant::now();
-    let mut exact = Analyst::new(w.table.clone(), engine_config(cfg.threads, false))
-        .expect("baseline solves");
-    exact.add_knowledge_batch(&w.base).expect("base knowledge compiles");
+    let mut exact = Analyst::new(adult.table.clone(), config).expect("baseline solves");
+    exact.add_knowledge_batch(&base).expect("base knowledge compiles");
     exact.refresh().expect("base knowledge is feasible");
     let session_open = open_start.elapsed();
 
-    let mut warm = Analyst::new(w.table.clone(), engine_config(cfg.threads, true))
-        .expect("baseline solves");
-    warm.add_knowledge_batch(&w.base).expect("base knowledge compiles");
+    let mut warm = Analyst::new(adult.table.clone(), warm_config).expect("baseline solves");
+    warm.add_knowledge_batch(&base).expect("base knowledge compiles");
     warm.refresh().expect("base knowledge is feasible");
 
     let mut report = IncrementalBenchReport {
-        scale: match cfg.scale {
-            Scale::Full => "full".to_string(),
-            Scale::Quick => "quick".to_string(),
-        },
-        seed: cfg.seed,
-        records: w.records,
-        buckets: w.table.num_buckets(),
+        header: adult.header.clone(),
         arity: cfg.arity,
-        rules: w.rules,
+        rules: base.len() + deltas.len(),
         threads: cfg.threads,
         available_parallelism: pm_parallel::available_parallelism(),
         components: exact.num_components(),
@@ -321,7 +225,7 @@ pub fn run(cfg: &IncrementalBenchConfig) -> IncrementalBenchReport {
         runs: Vec::new(),
     };
 
-    for delta in &w.deltas {
+    for delta in &deltas {
         // Incremental: one rule in, one refresh.
         let t = Instant::now();
         let _ = exact.add_knowledge(delta.clone()).expect("delta compiles");
@@ -337,7 +241,7 @@ pub fn run(cfg: &IncrementalBenchConfig) -> IncrementalBenchReport {
         // From scratch with the same final knowledge set, same order.
         kb.push(delta.clone()).expect("valid knowledge");
         let t = Instant::now();
-        let scratch = engine.estimate(&w.table, &kb).expect("feasible");
+        let scratch = engine.estimate(&adult.table, &kb).expect("feasible");
         let from_scratch = t.elapsed();
 
         report.runs.push(DeltaRun {
@@ -361,10 +265,7 @@ mod tests {
 
     fn tiny_report() -> IncrementalBenchReport {
         IncrementalBenchReport {
-            scale: "quick".into(),
-            seed: 7,
-            records: 100,
-            buckets: 20,
+            header: Header { scale: Scale::Quick, seed: 7, records: 100, buckets: 20 },
             arity: 4,
             rules: 10,
             threads: 1,

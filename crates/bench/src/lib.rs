@@ -2,9 +2,11 @@
 //!
 //! Experiment harness reproducing the evaluation of the Privacy-MaxEnt
 //! paper (Figures 5, 6 and 7(a)–(c)), plus criterion micro-benches and
-//! ablations. See `EXPERIMENTS.md` for paper-vs-measured results and
-//! `DESIGN.md` for the per-experiment index.
+//! the seven regression benches, which share [`harness`]. PAPER.md's
+//! "This reproduction" section records what the committed benches
+//! measured.
 
+pub mod harness;
 pub mod pipeline;
 pub mod figures;
 pub mod incremental;

@@ -11,13 +11,9 @@
 
 use std::time::{Duration, Instant};
 
-use pm_anonymize::anatomy::{AnatomyBucketizer, AnatomyConfig};
-use pm_anonymize::published::PublishedTable;
-use pm_assoc::miner::{MinerConfig, RuleMiner};
-use pm_datagen::adult::{AdultGenerator, AdultGeneratorConfig};
-use privacy_maxent::engine::{Engine, EngineConfig, Estimate};
-use privacy_maxent::knowledge::KnowledgeBase;
+use privacy_maxent::engine::{Engine, Estimate};
 
+use crate::harness::{engine_config, knowledge_base, Adult, Gate, Header, Json};
 use crate::pipeline::Scale;
 
 /// Configuration of one benchmark sweep.
@@ -54,31 +50,6 @@ impl Default for ParallelBenchConfig {
     }
 }
 
-/// The generated workload a sweep runs against.
-struct BenchWorkload {
-    records: usize,
-    table: PublishedTable,
-    kb: KnowledgeBase,
-    rules: usize,
-}
-
-fn build_workload(cfg: &ParallelBenchConfig) -> BenchWorkload {
-    let data = AdultGenerator::new(AdultGeneratorConfig {
-        records: cfg.scale.records(),
-        seed: cfg.seed,
-    })
-    .generate();
-    let table = AnatomyBucketizer::new(AnatomyConfig { ell: 5, exempt_top: 1 })
-        .publish(&data)
-        .expect("bucketization succeeds at bench scale");
-    let rules = RuleMiner::new(MinerConfig { min_support: 3, arities: vec![cfg.arity] })
-        .mine(&data);
-    let picked = rules.top_k(cfg.k_positive, cfg.k_negative);
-    let kb = KnowledgeBase::from_rules(picked.iter().copied(), data.schema())
-        .expect("mined rules are valid knowledge");
-    BenchWorkload { records: data.len(), table, kb, rules: picked.len() }
-}
-
 /// One measured run of the sweep.
 #[derive(Debug, Clone)]
 pub struct ParallelRun {
@@ -110,14 +81,8 @@ impl ParallelRun {
 /// The full report — everything `BENCH_parallel.json` records.
 #[derive(Debug, Clone)]
 pub struct ParallelBenchReport {
-    /// Workload scale label (`"quick"` / `"full"`).
-    pub scale: String,
-    /// Generator seed.
-    pub seed: u64,
-    /// Records in the workload.
-    pub records: usize,
-    /// Buckets in the publication.
-    pub buckets: usize,
+    /// The workload.
+    pub header: Header,
     /// Antecedent arity of the mined knowledge.
     pub arity: usize,
     /// Background-knowledge rules applied (K+ + K−).
@@ -136,43 +101,27 @@ pub struct ParallelBenchReport {
     pub runs: Vec<ParallelRun>,
 }
 
-fn bench_engine_config(threads: usize) -> EngineConfig {
-    // Mirrors the figure experiments: mined knowledge is always feasible
-    // but boundary-heavy systems converge asymptotically, so the residual
-    // gate is left open (see `crate::figures::engine_config`).
-    EngineConfig::builder()
-        .residual_limit(f64::INFINITY)
-        .threads(threads)
-        .build()
-}
-
-fn estimate(w: &BenchWorkload, threads: usize) -> (Estimate, Duration) {
-    let engine = Engine::new(bench_engine_config(threads));
-    let start = Instant::now();
-    let est = engine.estimate(&w.table, &w.kb).expect("mined knowledge is feasible");
-    (est, start.elapsed())
-}
-
 /// Runs the sweep: a 1-thread baseline, then every configured thread
 /// count.
 pub fn run(cfg: &ParallelBenchConfig) -> ParallelBenchReport {
-    let w = build_workload(cfg);
+    let adult = Adult::generate(cfg.scale, cfg.seed);
+    let kb = knowledge_base(adult.top_k(cfg.arity, cfg.k_positive, cfg.k_negative).0);
+    let estimate = |threads: usize| -> (Estimate, Duration) {
+        let engine = Engine::new(engine_config(threads));
+        let start = Instant::now();
+        let est = engine.estimate(&adult.table, &kb).expect("mined knowledge is feasible");
+        (est, start.elapsed())
+    };
 
     // Warmup: page the workload in and stabilise allocator/caches so the
     // measured baseline isn't charged for first-touch costs.
-    let _ = estimate(&w, 1);
-    let (baseline, baseline_wall) = estimate(&w, 1);
+    let _ = estimate(1);
+    let (baseline, baseline_wall) = estimate(1);
     let baseline_solver = baseline.stats.solver_elapsed();
     let mut report = ParallelBenchReport {
-        scale: match cfg.scale {
-            Scale::Full => "full".to_string(),
-            Scale::Quick => "quick".to_string(),
-        },
-        seed: cfg.seed,
-        records: w.records,
-        buckets: w.table.num_buckets(),
+        header: adult.header.clone(),
         arity: cfg.arity,
-        rules: w.rules,
+        rules: kb.len(),
         components: baseline.stats.num_components,
         irrelevant_components: baseline.stats.num_irrelevant,
         available_parallelism: pm_parallel::available_parallelism(),
@@ -182,7 +131,7 @@ pub fn run(cfg: &ParallelBenchConfig) -> ParallelBenchReport {
     };
 
     for &threads in &cfg.threads {
-        let (est, wall) = estimate(&w, threads);
+        let (est, wall) = estimate(threads);
         let solver = est.stats.solver_elapsed();
         report.runs.push(ParallelRun {
             threads,
@@ -201,61 +150,67 @@ pub fn run(cfg: &ParallelBenchConfig) -> ParallelBenchReport {
 }
 
 impl ParallelBenchReport {
-    /// Serialises the report as pretty-printed JSON (hand-rolled: the
-    /// offline workspace has no serde).
+    /// Serialises the report as pretty-printed JSON.
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n");
-        s.push_str("  \"bench\": \"parallel_components\",\n");
-        s.push_str(&format!("  \"scale\": \"{}\",\n", self.scale));
-        s.push_str(&format!("  \"seed\": {},\n", self.seed));
-        s.push_str(&format!("  \"records\": {},\n", self.records));
-        s.push_str(&format!("  \"buckets\": {},\n", self.buckets));
-        s.push_str(&format!("  \"arity\": {},\n", self.arity));
-        s.push_str(&format!("  \"rules\": {},\n", self.rules));
-        s.push_str(&format!("  \"components\": {},\n", self.components));
-        s.push_str(&format!(
-            "  \"irrelevant_components\": {},\n",
-            self.irrelevant_components
-        ));
-        s.push_str(&format!(
-            "  \"available_parallelism\": {},\n",
-            self.available_parallelism
-        ));
-        s.push_str(&format!(
-            "  \"baseline_wall_seconds\": {:.6},\n",
-            self.baseline_wall.as_secs_f64()
-        ));
-        s.push_str(&format!(
-            "  \"baseline_solver_seconds\": {:.6},\n",
-            self.baseline_solver.as_secs_f64()
-        ));
-        s.push_str("  \"runs\": [\n");
-        for (i, r) in self.runs.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"threads\": {}, \"wall_seconds\": {:.6}, \
-                 \"solver_seconds\": {:.6}, \"speedup\": {:.3}, \
-                 \"solver_ratio\": {:.3}, \"regressed\": {}, \
-                 \"identical_to_baseline\": {}}}{}\n",
-                r.threads,
-                r.wall.as_secs_f64(),
-                r.solver.as_secs_f64(),
-                r.speedup,
-                r.solver_ratio,
-                r.regressed(),
-                r.identical_to_baseline,
-                if i + 1 < self.runs.len() { "," } else { "" },
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
+        Json::report("parallel_components")
+            .header(&self.header)
+            .field("arity", self.arity)
+            .field("rules", self.rules)
+            .field("components", self.components)
+            .field("irrelevant_components", self.irrelevant_components)
+            .field("available_parallelism", self.available_parallelism)
+            .secs("baseline_wall_seconds", self.baseline_wall)
+            .secs("baseline_solver_seconds", self.baseline_solver)
+            .rows(
+                "runs",
+                self.runs.iter().map(|r| {
+                    Json::default()
+                        .field("threads", r.threads)
+                        .secs("wall_seconds", r.wall)
+                        .secs("solver_seconds", r.solver)
+                        .fixed("speedup", r.speedup, 3)
+                        .fixed("solver_ratio", r.solver_ratio, 3)
+                        .field("regressed", r.regressed())
+                        .field("identical_to_baseline", r.identical_to_baseline)
+                }),
+            )
+            .render()
+    }
+
+    /// The `--min-speedup` gate on the best eligible speedup. Only runs
+    /// the host can genuinely parallelise (`1 < threads <=
+    /// available_parallelism`) are eligible. Armed, the gate fails when no
+    /// run is eligible, since it then observed nothing, and when an
+    /// eligible run regressed.
+    pub fn speedup_gate(&self, min_speedup: Option<f64>) -> Gate {
+        let eligible: Vec<&ParallelRun> = self
+            .runs
+            .iter()
+            .filter(|r| r.threads > 1 && r.threads <= self.available_parallelism)
+            .collect();
+        let best = eligible.iter().map(|r| r.speedup).fold(0.0f64, f64::max);
+        let blocker = if eligible.is_empty() {
+            Some(format!(
+                "the host has {} core(s) and no multi-threaded run is eligible; run this gate \
+                 on a multi-core host (or drop --min-speedup for a gateless recording)",
+                self.available_parallelism
+            ))
+        } else {
+            eligible.iter().find(|r| r.regressed()).map(|r| {
+                format!(
+                    "{} threads REGRESSED — {:.2}x baseline wall, {:.2}x baseline solver time",
+                    r.threads, r.speedup, r.solver_ratio
+                )
+            })
+        };
+        Gate::at_least("--min-speedup", "best eligible speedup", min_speedup, best).blocked(blocker)
     }
 
     /// Human-readable sweep table (stdout companion of the JSON artifact).
     pub fn print_table(&self) {
         println!(
-            "parallel component solver — {} scale, seed {}: {} records, \
-             {} buckets, {} arity-{} rules",
-            self.scale, self.seed, self.records, self.buckets, self.rules, self.arity
+            "parallel component solver — {}, {} arity-{} rules",
+            self.header, self.rules, self.arity
         );
         println!(
             "{} components ({} irrelevant → closed form), {} cores available",
@@ -296,13 +251,11 @@ impl ParallelBenchReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::Verdict;
 
     fn tiny_report() -> ParallelBenchReport {
         ParallelBenchReport {
-            scale: "quick".into(),
-            seed: 7,
-            records: 100,
-            buckets: 20,
+            header: Header { scale: Scale::Quick, seed: 7, records: 100, buckets: 20 },
             arity: 4,
             rules: 10,
             components: 5,
@@ -373,5 +326,23 @@ mod tests {
     #[test]
     fn table_print_does_not_panic() {
         tiny_report().print_table();
+    }
+
+    #[test]
+    fn armed_gate_needs_an_eligible_run() {
+        let mut report = tiny_report();
+        report.available_parallelism = 1;
+        let Verdict::Failed(message) = report.speedup_gate(Some(1.5)).verdict() else {
+            panic!("an armed gate with no eligible run must fail")
+        };
+        assert!(message.contains("1 core(s)"), "{message}");
+        assert_eq!(report.speedup_gate(None).verdict(), Verdict::Off);
+        report.available_parallelism = 8;
+        assert!(matches!(report.speedup_gate(Some(1.5)).verdict(), Verdict::Passed(_)));
+        report.runs[1].speedup = 0.9;
+        let Verdict::Failed(message) = report.speedup_gate(Some(0.5)).verdict() else {
+            panic!("an eligible regression must fail the armed gate")
+        };
+        assert!(message.contains("2 threads REGRESSED"), "{message}");
     }
 }

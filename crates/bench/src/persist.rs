@@ -32,14 +32,10 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use pm_anonymize::anatomy::{AnatomyBucketizer, AnatomyConfig};
-use pm_anonymize::published::PublishedTable;
-use pm_datagen::adult::{AdultGenerator, AdultGeneratorConfig};
 use privacy_maxent::compiled::CompiledTable;
-use privacy_maxent::delta::TableDelta;
-use privacy_maxent::engine::EngineConfig;
 use privacy_maxent::persist::{recover, EpochWal, SNAPSHOT_FILE, WAL_FILE};
 
+use crate::harness::{engine_config, pick_delta, Adult, Header, Json, Timing};
 use crate::pipeline::Scale;
 
 /// Configuration of one persistence sweep.
@@ -63,58 +59,20 @@ impl Default for PersistBenchConfig {
     }
 }
 
-fn engine_config(threads: usize) -> EngineConfig {
-    // Mirrors the other benches: mined knowledge is always feasible but
-    // boundary-heavy systems converge asymptotically, so the residual gate
-    // is left open.
-    EngineConfig::builder()
-        .residual_limit(f64::INFINITY)
-        .threads(threads)
-        .build()
-}
-
-/// Deterministically picks the `i`-th single-record delta from the current
-/// table, rotating insert / retract / move over records drawn from the
-/// table's own multisets (same scheme as the table-delta bench).
-fn pick_delta(table: &PublishedTable, i: usize) -> TableDelta {
-    let m = table.num_buckets();
-    let b = (i * 379 + 17) % m;
-    let bucket = table.bucket(b);
-    let q = bucket.qi_counts()[(i * 53) % bucket.distinct_qi()].0;
-    let s = bucket.sa_counts()[(i * 31) % bucket.distinct_sa()].0;
-    let tuple = table.interner().tuple(q).to_vec();
-    match i % 3 {
-        0 => TableDelta::new().insert(tuple, s, (b + 1) % m),
-        1 => TableDelta::new().retract(tuple, s, b),
-        _ => TableDelta::new().move_record(tuple, s, b, (b + 1) % m),
-    }
-}
-
-fn median(mut times: Vec<Duration>) -> Duration {
-    times.sort();
-    times[times.len() / 2]
-}
-
 /// The full report — everything `BENCH_persist.json` records.
 #[derive(Debug, Clone)]
 pub struct PersistBenchReport {
-    /// Workload scale label (`"quick"` / `"full"`).
-    pub scale: String,
-    /// Generator seed.
-    pub seed: u64,
-    /// Records in the workload (at epoch 0).
-    pub records: usize,
-    /// Buckets in the publication.
-    pub buckets: usize,
+    /// The workload, at epoch 0.
+    pub header: Header,
     /// Engine worker threads.
     pub threads: usize,
     /// Cores the host reports.
     pub available_parallelism: usize,
     /// Timing repeats behind each median.
     pub repeats: usize,
-    /// Median wall time of `CompiledTable::build` — the no-persistence
-    /// restart cost.
-    pub build: Duration,
+    /// Wall times of the repeated `CompiledTable::build` calls; the median
+    /// is the no-persistence restart cost.
+    pub build: Timing,
     /// Wall time of `CompiledTable::save`.
     pub save: Duration,
     /// Snapshot size on disk.
@@ -124,7 +82,7 @@ pub struct PersistBenchReport {
     /// Median wall time of the first `baseline_estimate()` on a fresh
     /// load — hydration of the deferred sections plus estimate assembly.
     pub first_estimate: Duration,
-    /// `build / cold_load` — the persistence payoff.
+    /// `build.median / cold_load` — the persistence payoff.
     pub load_speedup: f64,
     /// Epochs journaled into the WAL and replayed by `recover`.
     pub epochs: usize,
@@ -142,62 +100,37 @@ pub struct PersistBenchReport {
 }
 
 impl PersistBenchReport {
-    /// Serialises the report as pretty-printed JSON (hand-rolled: the
-    /// offline workspace has no serde).
+    /// Serialises the report as pretty-printed JSON.
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n");
-        s.push_str("  \"bench\": \"persist\",\n");
-        s.push_str(&format!("  \"scale\": \"{}\",\n", self.scale));
-        s.push_str(&format!("  \"seed\": {},\n", self.seed));
-        s.push_str(&format!("  \"records\": {},\n", self.records));
-        s.push_str(&format!("  \"buckets\": {},\n", self.buckets));
-        s.push_str(&format!("  \"threads\": {},\n", self.threads));
-        s.push_str(&format!(
-            "  \"available_parallelism\": {},\n",
-            self.available_parallelism
-        ));
-        s.push_str(&format!("  \"repeats\": {},\n", self.repeats));
-        s.push_str(&format!(
-            "  \"build_seconds\": {:.6},\n",
-            self.build.as_secs_f64()
-        ));
-        s.push_str(&format!("  \"save_seconds\": {:.6},\n", self.save.as_secs_f64()));
-        s.push_str(&format!("  \"snapshot_bytes\": {},\n", self.snapshot_bytes));
-        s.push_str(&format!(
-            "  \"cold_load_seconds\": {:.6},\n",
-            self.cold_load.as_secs_f64()
-        ));
-        s.push_str(&format!(
-            "  \"first_estimate_seconds\": {:.6},\n",
-            self.first_estimate.as_secs_f64()
-        ));
-        s.push_str(&format!("  \"load_speedup\": {:.1},\n", self.load_speedup));
-        s.push_str(&format!("  \"epochs\": {},\n", self.epochs));
-        s.push_str(&format!("  \"wal_bytes\": {},\n", self.wal_bytes));
-        s.push_str(&format!(
-            "  \"recover_seconds\": {:.6},\n",
-            self.recover.as_secs_f64()
-        ));
-        s.push_str(&format!(
-            "  \"replay_per_epoch_seconds\": {:.6},\n",
-            self.replay_per_epoch.as_secs_f64()
-        ));
-        s.push_str(&format!("  \"identical\": {}\n", self.identical));
-        s.push_str("}\n");
-        s
+        Json::report("persist")
+            .header(&self.header)
+            .field("threads", self.threads)
+            .field("available_parallelism", self.available_parallelism)
+            .field("repeats", self.repeats)
+            .secs("build_seconds", self.build.median)
+            .secs("save_seconds", self.save)
+            .field("snapshot_bytes", self.snapshot_bytes)
+            .secs("cold_load_seconds", self.cold_load)
+            .secs("first_estimate_seconds", self.first_estimate)
+            .fixed("load_speedup", self.load_speedup, 1)
+            .field("epochs", self.epochs)
+            .field("wal_bytes", self.wal_bytes)
+            .secs("recover_seconds", self.recover)
+            .secs("replay_per_epoch_seconds", self.replay_per_epoch)
+            .field("identical", self.identical)
+            .render()
     }
 
     /// Human-readable table (stdout companion of the JSON artifact).
     pub fn print_table(&self) {
         println!(
-            "persist — {} scale, seed {}: {} records, {} buckets, {} thread(s), \
-             medians over {} repeat(s)",
-            self.scale, self.seed, self.records, self.buckets, self.threads, self.repeats
+            "persist — {}, {} thread(s), medians over {} repeat(s)",
+            self.header, self.threads, self.repeats
         );
         println!(
             "CompiledTable::build: {:.3} ms | save: {:.3} ms ({} bytes) | \
              cold load: {:.3} ms",
-            self.build.as_secs_f64() * 1e3,
+            self.build.median.as_secs_f64() * 1e3,
             self.save.as_secs_f64() * 1e3,
             self.snapshot_bytes,
             self.cold_load.as_secs_f64() * 1e3,
@@ -222,34 +155,18 @@ impl PersistBenchReport {
 /// Runs the sweep: build (median), save, cold-load (median), journal a
 /// delta tape, recover (median), bit-compare everything.
 pub fn run(cfg: &PersistBenchConfig) -> PersistBenchReport {
-    let data = AdultGenerator::new(AdultGeneratorConfig {
-        records: cfg.scale.records(),
-        seed: cfg.seed,
-    })
-    .generate();
-    let table = AnatomyBucketizer::new(AnatomyConfig { ell: 5, exempt_top: 1 })
-        .publish(&data)
-        .expect("bucketization succeeds at bench scale");
+    let adult = Adult::generate(cfg.scale, cfg.seed);
+    let table = &adult.table;
     let config = engine_config(cfg.threads);
     let repeats = cfg.repeats.max(1);
 
     // Warmup build (page everything in), then the measured rebuild cost:
     // what a restart pays when there is no snapshot.
-    let _ = CompiledTable::build(table.clone(), config.clone()).expect("baseline solves");
-    let mut artifact = None;
-    let build = median(
-        (0..repeats)
-            .map(|_| {
-                let t = Instant::now();
-                let built = CompiledTable::build(table.clone(), config.clone())
-                    .expect("baseline solves");
-                let elapsed = t.elapsed();
-                artifact = Some(built);
-                elapsed
-            })
-            .collect(),
-    );
-    let artifact = Arc::new(artifact.expect("at least one build ran"));
+    let build_once =
+        || CompiledTable::build(table.clone(), config.clone()).expect("baseline solves");
+    let _ = build_once();
+    let (build, artifact) = Timing::repeat(repeats, build_once);
+    let artifact = Arc::new(artifact);
 
     let dir: PathBuf = std::env::temp_dir()
         .join(format!("pmx-persist-bench-{}", std::process::id()));
@@ -278,8 +195,8 @@ pub fn run(cfg: &PersistBenchConfig) -> PersistBenchReport {
         estimate_times.push(t.elapsed());
         loaded = Some(l);
     }
-    let cold_load = median(load_times);
-    let first_estimate = median(estimate_times);
+    let cold_load = Timing::of(load_times).median;
+    let first_estimate = Timing::of(estimate_times).median;
     let loaded = loaded.expect("at least one load ran");
     let load_identical = loaded.baseline_estimate().term_values()
         == artifact.baseline_estimate().term_values();
@@ -288,7 +205,7 @@ pub fn run(cfg: &PersistBenchConfig) -> PersistBenchReport {
     let mut wal = EpochWal::create(&dir, artifact.epoch()).expect("wal create");
     let mut tip = Arc::clone(&artifact);
     for i in 0..cfg.epochs {
-        let delta = pick_delta(tip.table(), i);
+        let (delta, _) = pick_delta(tip.table(), i);
         let next = Arc::new(tip.apply(&delta).expect("delta picks valid records"));
         wal.append(next.epoch(), &delta, next.applied_delta().expect("apply records"))
             .expect("append succeeds");
@@ -297,23 +214,13 @@ pub fn run(cfg: &PersistBenchConfig) -> PersistBenchReport {
     drop(wal);
     let wal_bytes = fs::metadata(dir.join(WAL_FILE)).expect("wal exists").len();
 
-    let mut recovered_tip = None;
-    let recover_time = median(
-        (0..repeats)
-            .map(|_| {
-                let t = Instant::now();
-                let r = recover(&dir).expect("clean WAL recovers");
-                let elapsed = t.elapsed();
-                assert_eq!(r.replayed, cfg.epochs, "recover replayed the whole tape");
-                recovered_tip = Some(r.artifact);
-                elapsed
-            })
-            .collect(),
-    );
-    let recover_identical = recovered_tip
-        .expect("at least one recover ran")
-        .baseline_estimate()
-        .term_values()
+    let (recover_time, recovered) = Timing::repeat(repeats, || {
+        let r = recover(&dir).expect("clean WAL recovers");
+        assert_eq!(r.replayed, cfg.epochs, "recover replayed the whole tape");
+        r
+    });
+    let recover_time = recover_time.median;
+    let recover_identical = recovered.artifact.baseline_estimate().term_values()
         == tip.baseline_estimate().term_values();
     let replay_per_epoch = recover_time
         .saturating_sub(cold_load)
@@ -322,13 +229,7 @@ pub fn run(cfg: &PersistBenchConfig) -> PersistBenchReport {
 
     let _ = fs::remove_dir_all(&dir);
     PersistBenchReport {
-        scale: match cfg.scale {
-            Scale::Full => "full".to_string(),
-            Scale::Quick => "quick".to_string(),
-        },
-        seed: cfg.seed,
-        records: artifact.table().total_records(),
-        buckets: artifact.table().num_buckets(),
+        header: adult.header.clone(),
         threads: cfg.threads,
         available_parallelism: pm_parallel::available_parallelism(),
         repeats,
@@ -337,7 +238,7 @@ pub fn run(cfg: &PersistBenchConfig) -> PersistBenchReport {
         snapshot_bytes,
         cold_load,
         first_estimate,
-        load_speedup: build.as_secs_f64() / cold_load.as_secs_f64().max(1e-12),
+        load_speedup: build.median.as_secs_f64() / cold_load.as_secs_f64().max(1e-12),
         epochs: cfg.epochs,
         wal_bytes,
         recover: recover_time,
@@ -352,14 +253,14 @@ mod tests {
 
     fn tiny_report() -> PersistBenchReport {
         PersistBenchReport {
-            scale: "quick".into(),
-            seed: 7,
-            records: 100,
-            buckets: 20,
+            header: Header { scale: Scale::Quick, seed: 7, records: 100, buckets: 20 },
             threads: 1,
             available_parallelism: 8,
             repeats: 3,
-            build: Duration::from_millis(40),
+            build: Timing {
+                median: Duration::from_millis(40),
+                total: Duration::from_millis(120),
+            },
             save: Duration::from_millis(2),
             snapshot_bytes: 96_000,
             cold_load: Duration::from_millis(2),

@@ -1,15 +1,15 @@
 //! Shared experiment pipeline: generate → bucketize → mine → estimate.
 
-use pm_anonymize::anatomy::{AnatomyBucketizer, AnatomyConfig};
 use pm_anonymize::published::PublishedTable;
-use pm_assoc::miner::{MinedRules, MinerConfig, RuleMiner};
+use pm_assoc::miner::MinedRules;
 use pm_assoc::rule::AssociationRule;
-use pm_datagen::adult::{AdultGenerator, AdultGeneratorConfig};
 use pm_microdata::dataset::Dataset;
 use pm_microdata::distribution::QiSaDistribution;
 use privacy_maxent::engine::{Engine, EngineConfig};
 use privacy_maxent::knowledge::KnowledgeBase;
 use privacy_maxent::metrics::estimation_accuracy;
+
+use crate::harness::{mine, Adult};
 
 /// Scale of an experiment run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,6 +36,14 @@ impl Scale {
             Self::Quick => (1..=3).collect(),
         }
     }
+
+    /// The label reports and flags use: `quick` or `full`.
+    pub fn label(self) -> &'static str {
+        match self {
+            Self::Full => "full",
+            Self::Quick => "quick",
+        }
+    }
 }
 
 /// Everything the figure experiments need, computed once.
@@ -52,14 +60,9 @@ pub struct ExperimentData {
 
 /// Builds the shared experiment inputs.
 pub fn prepare(scale: Scale, seed: u64) -> ExperimentData {
-    let data = AdultGenerator::new(AdultGeneratorConfig { records: scale.records(), seed })
-        .generate();
+    let Adult { data, table, .. } = Adult::generate(scale, seed);
     let truth = QiSaDistribution::from_dataset(&data).expect("dataset has an SA");
-    let table = AnatomyBucketizer::new(AnatomyConfig { ell: 5, exempt_top: 1 })
-        .publish(&data)
-        .expect("bucketization succeeds at paper scale");
-    let rules = RuleMiner::new(MinerConfig { min_support: 3, arities: scale.arities() })
-        .mine(&data);
+    let rules = mine(&data, scale.arities());
     ExperimentData { data, truth, table, rules }
 }
 

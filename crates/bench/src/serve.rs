@@ -22,20 +22,15 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use pm_anonymize::anatomy::{AnatomyBucketizer, AnatomyConfig};
-use pm_anonymize::published::PublishedTable;
-use pm_assoc::miner::{MinerConfig, RuleMiner};
-use pm_datagen::adult::{AdultGenerator, AdultGeneratorConfig};
 use pm_serve::loadgen::{self, LoadgenOptions, PhaseRecord};
 use pm_serve::protocol::{WireDeltaOp, WireKnowledge};
 use pm_serve::registry::{Limits, Registry};
 use pm_serve::server::{Backend, Server};
 use privacy_maxent::analyst::{Analyst, KnowledgeHandle};
 use privacy_maxent::compiled::CompiledTable;
-use privacy_maxent::delta::TableDelta;
-use privacy_maxent::engine::EngineConfig;
 use privacy_maxent::knowledge::Knowledge;
 
+use crate::harness::{engine_config, mine, pick_delta, Adult, FlagValue, Header, Json};
 use crate::pipeline::Scale;
 
 /// Configuration of one serve sweep.
@@ -84,46 +79,23 @@ impl Default for ServeBenchConfig {
     }
 }
 
-fn engine_config(threads: usize) -> EngineConfig {
-    // Mirrors the other benches: mined knowledge is always feasible but
-    // boundary-heavy systems converge asymptotically, so the residual gate
-    // is left open.
-    EngineConfig::builder()
-        .residual_limit(f64::INFINITY)
-        .threads(threads)
-        .build()
-}
-
-/// Deterministically picks the `i`-th single-record delta from the current
-/// table, rotating insert / retract / move over records drawn from the
-/// table's own multisets (same scheme as the table-delta and persist
-/// benches), as wire ops.
-fn pick_delta(table: &PublishedTable, i: usize) -> Vec<WireDeltaOp> {
-    let m = table.num_buckets();
-    let b = (i * 379 + 17) % m;
-    let bucket = table.bucket(b);
-    let q = bucket.qi_counts()[(i * 53) % bucket.distinct_qi()].0;
-    let s = bucket.sa_counts()[(i * 31) % bucket.distinct_sa()].0;
-    let tuple = table.interner().tuple(q).to_vec();
-    let delta = match i % 3 {
-        0 => TableDelta::new().insert(tuple, s, (b + 1) % m),
-        1 => TableDelta::new().retract(tuple, s, b),
-        _ => TableDelta::new().move_record(tuple, s, b, (b + 1) % m),
-    };
-    delta.ops().iter().map(WireDeltaOp::from_op).collect()
+/// `--backend reactor|threaded`.
+impl FlagValue for Backend {
+    fn set(&mut self, raw: &str) -> Result<(), String> {
+        *self = match raw {
+            "reactor" => Backend::default(),
+            "threaded" => Backend::Threaded,
+            _ => return Err(format!("unknown backend `{raw}` (expected reactor|threaded)")),
+        };
+        Ok(())
+    }
 }
 
 /// The full report — everything `BENCH_serve.json` records.
 #[derive(Debug, Clone)]
 pub struct ServeBenchReport {
-    /// Workload scale label (`"quick"` / `"full"`).
-    pub scale: String,
-    /// Generator seed.
-    pub seed: u64,
-    /// Records in the workload (at the base epoch).
-    pub records: usize,
-    /// Buckets in the publication.
-    pub buckets: usize,
+    /// The workload, at the base epoch.
+    pub header: Header,
     /// Engine worker threads on the server.
     pub threads: usize,
     /// Serving backend, rendered (`reactor(N workers)` / `threaded`).
@@ -168,38 +140,34 @@ pub struct ServeBenchReport {
 /// bench-harness conditions, not measurable outcomes.
 pub fn run(cfg: &ServeBenchConfig) -> ServeBenchReport {
     // The workload: Adult-scale publication + mined knowledge pool.
-    let data = AdultGenerator::new(AdultGeneratorConfig {
-        records: cfg.scale.records(),
-        seed: cfg.seed,
-    })
-    .generate();
-    let table = AnatomyBucketizer::new(AnatomyConfig { ell: 5, exempt_top: 1 })
-        .publish(&data)
-        .expect("bucketization succeeds at bench scale");
-    let mined = RuleMiner::new(MinerConfig { min_support: 3, arities: vec![1, 2] })
-        .mine(&data);
-    let pool: Vec<WireKnowledge> = mined
+    let adult = Adult::generate(cfg.scale, cfg.seed);
+    let header = adult.header.clone();
+    let pool: Vec<WireKnowledge> = mine(&adult.data, vec![1, 2])
         .top_k(cfg.rules.div_ceil(2), cfg.rules / 2)
         .into_iter()
         .filter_map(|r| {
-            let k = Knowledge::from_rule(r, data.schema()).ok()?;
+            let k = Knowledge::from_rule(r, adult.data.schema()).ok()?;
             WireKnowledge::from_knowledge(&k)
         })
         .collect();
 
     let base = Arc::new(
-        CompiledTable::build(table, engine_config(cfg.threads))
+        CompiledTable::build(adult.table, engine_config(cfg.threads))
             .expect("bench workload compiles"),
     );
 
-    // Delta tapes, one per phase boundary worker 0 hits (picked against
-    // the *evolving* table so retract/move claims hold at apply time).
+    // Delta tapes, one per phase boundary worker 0 hits, each picked
+    // against the *evolving* table so retract/move claims hold at apply
+    // time. `chain` keeps every epoch for the replay: worker 0 is the sole
+    // delta driver, so tape order is the order the server observes.
     let mut tapes: Vec<Vec<WireDeltaOp>> = Vec::new();
-    let mut evolving = Arc::clone(&base);
+    let mut chain = vec![Arc::clone(&base)];
     for i in 0..cfg.deltas.min(cfg.phases) {
-        let ops = pick_delta(evolving.table(), i);
-        let delta = WireDeltaOp::into_delta(ops.clone());
-        evolving = Arc::new(evolving.apply(&delta).expect("bench delta applies"));
+        let tip = chain.last().expect("chain is never empty");
+        let (delta, _) = pick_delta(tip.table(), i);
+        let ops: Vec<WireDeltaOp> = delta.ops().iter().map(WireDeltaOp::from_op).collect();
+        let next = tip.apply(&WireDeltaOp::into_delta(ops.clone())).expect("bench delta applies");
+        chain.push(Arc::new(next));
         tapes.push(ops);
     }
 
@@ -219,8 +187,7 @@ pub fn run(cfg: &ServeBenchConfig) -> ServeBenchReport {
         .expect("closed loop completes");
     server.shutdown();
 
-    // Replay verification against the reconstructed epoch chain.
-    let chain = reconstruct_chain(&base, &tapes);
+    // Replay verification against the epoch chain.
     let mut samples = 0usize;
     let mut mismatches = 0usize;
     for tenant in 0..cfg.tenants {
@@ -236,13 +203,7 @@ pub fn run(cfg: &ServeBenchConfig) -> ServeBenchReport {
     }
 
     ServeBenchReport {
-        scale: match cfg.scale {
-            Scale::Full => "full".to_string(),
-            Scale::Quick => "quick".to_string(),
-        },
-        seed: cfg.seed,
-        records: data.len(),
-        buckets: base.table().num_buckets(),
+        header,
         threads: cfg.threads,
         backend: cfg.backend.to_string(),
         available_parallelism: pm_parallel::available_parallelism(),
@@ -261,26 +222,6 @@ pub fn run(cfg: &ServeBenchConfig) -> ServeBenchReport {
         mismatches,
         identical: samples > 0 && mismatches == 0,
     }
-}
-
-/// Rebuilds the server's epoch chain: the base artifact plus one epoch per
-/// delta tape, in tape order (worker 0 is the sole driver, so this is the
-/// order the server observed).
-fn reconstruct_chain(
-    base: &Arc<CompiledTable>,
-    tapes: &[Vec<WireDeltaOp>],
-) -> Vec<Arc<CompiledTable>> {
-    let mut chain = vec![Arc::clone(base)];
-    for tape in tapes {
-        let delta = WireDeltaOp::into_delta(tape.clone());
-        let next = chain
-            .last()
-            .expect("chain is never empty")
-            .apply(&delta)
-            .expect("replay applies the same deltas the server accepted");
-        chain.push(Arc::new(next));
-    }
-    chain
 }
 
 /// Replays one tenant's deterministic tape on a direct [`Analyst`] and
@@ -346,49 +287,37 @@ fn replay_tenant(
 }
 
 impl ServeBenchReport {
-    /// Serialises the report as pretty-printed JSON (hand-rolled: the
-    /// offline workspace has no serde).
+    /// Serialises the report as pretty-printed JSON.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n");
-        s.push_str("  \"bench\": \"serve\",\n");
-        s.push_str(&format!("  \"scale\": \"{}\",\n", self.scale));
-        s.push_str(&format!("  \"seed\": {},\n", self.seed));
-        s.push_str(&format!("  \"records\": {},\n", self.records));
-        s.push_str(&format!("  \"buckets\": {},\n", self.buckets));
-        s.push_str(&format!("  \"threads\": {},\n", self.threads));
-        s.push_str(&format!("  \"backend\": \"{}\",\n", self.backend));
-        s.push_str(&format!(
-            "  \"available_parallelism\": {},\n",
-            self.available_parallelism
-        ));
-        s.push_str(&format!("  \"tenants\": {},\n", self.tenants));
-        s.push_str(&format!("  \"phases\": {},\n", self.phases));
-        s.push_str(&format!("  \"pool_rules\": {},\n", self.pool));
-        s.push_str(&format!("  \"queries\": {},\n", self.queries));
-        s.push_str(&format!("  \"batch_frames\": {},\n", self.batches));
-        s.push_str(&format!("  \"single_frames\": {},\n", self.singles));
-        s.push_str(&format!("  \"knowledge_ops\": {},\n", self.knowledge_ops));
-        s.push_str(&format!("  \"refreshes\": {},\n", self.refreshes));
-        s.push_str(&format!("  \"delta_epochs\": {},\n", self.deltas));
-        s.push_str(&format!("  \"wall_seconds\": {:.6},\n", self.wall.as_secs_f64()));
-        s.push_str(&format!("  \"queries_per_second\": {:.0},\n", self.qps));
-        s.push_str(&format!("  \"verified_samples\": {},\n", self.samples));
-        s.push_str(&format!("  \"mismatches\": {},\n", self.mismatches));
-        s.push_str(&format!("  \"identical\": {}\n", self.identical));
-        s.push_str("}\n");
-        s
+        Json::report("serve")
+            .header(&self.header)
+            .field("threads", self.threads)
+            .text("backend", &self.backend)
+            .field("available_parallelism", self.available_parallelism)
+            .field("tenants", self.tenants)
+            .field("phases", self.phases)
+            .field("pool_rules", self.pool)
+            .field("queries", self.queries)
+            .field("batch_frames", self.batches)
+            .field("single_frames", self.singles)
+            .field("knowledge_ops", self.knowledge_ops)
+            .field("refreshes", self.refreshes)
+            .field("delta_epochs", self.deltas)
+            .secs("wall_seconds", self.wall)
+            .fixed("queries_per_second", self.qps, 0)
+            .field("verified_samples", self.samples)
+            .field("mismatches", self.mismatches)
+            .field("identical", self.identical)
+            .render()
     }
 
     /// Human-readable summary (stdout companion of the JSON artifact).
     pub fn print_table(&self) {
         println!(
-            "pmx serve closed loop — {} scale, seed {}: {} records, {} buckets, \
-             {} pool rule(s), {} engine thread(s) on {} core(s), {} backend",
-            self.scale,
-            self.seed,
-            self.records,
-            self.buckets,
+            "pmx serve closed loop — {}, {} pool rule(s), {} engine thread(s) on {} core(s), \
+             {} backend",
+            self.header,
             self.pool,
             self.threads,
             self.available_parallelism,
@@ -424,10 +353,7 @@ mod tests {
 
     fn tiny_report() -> ServeBenchReport {
         ServeBenchReport {
-            scale: "quick".into(),
-            seed: 7,
-            records: 100,
-            buckets: 20,
+            header: Header { scale: Scale::Quick, seed: 7, records: 100, buckets: 20 },
             threads: 1,
             backend: Backend::default().to_string(),
             available_parallelism: 8,

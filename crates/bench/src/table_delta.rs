@@ -20,16 +20,11 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use pm_anonymize::anatomy::{AnatomyBucketizer, AnatomyConfig};
-use pm_anonymize::published::PublishedTable;
-use pm_assoc::miner::{MinerConfig, RuleMiner};
-use pm_datagen::adult::{AdultGenerator, AdultGeneratorConfig};
 use privacy_maxent::analyst::Analyst;
 use privacy_maxent::compiled::CompiledTable;
-use privacy_maxent::delta::TableDelta;
-use privacy_maxent::engine::EngineConfig;
 use privacy_maxent::knowledge::Knowledge;
 
+use crate::harness::{engine_config, median, pick_delta, Adult, Header, Json};
 use crate::pipeline::Scale;
 
 /// Configuration of one table-delta sweep.
@@ -63,33 +58,6 @@ impl Default for TableDeltaBenchConfig {
             deltas: 6,
             threads: 1,
         }
-    }
-}
-
-fn engine_config(threads: usize) -> EngineConfig {
-    // Mirrors the figure experiments: mined knowledge is always feasible
-    // but boundary-heavy systems converge asymptotically, so the residual
-    // gate is left open (see `crate::figures::engine_config`).
-    EngineConfig::builder()
-        .residual_limit(f64::INFINITY)
-        .threads(threads)
-        .build()
-}
-
-/// Deterministically picks the `i`-th single-record delta from the current
-/// table: records are drawn from the table's own multisets (so retraction
-/// and move claims hold), rotating insert / retract / move.
-fn pick_delta(table: &PublishedTable, i: usize) -> (TableDelta, &'static str) {
-    let m = table.num_buckets();
-    let b = (i * 379 + 17) % m;
-    let bucket = table.bucket(b);
-    let q = bucket.qi_counts()[(i * 53) % bucket.distinct_qi()].0;
-    let s = bucket.sa_counts()[(i * 31) % bucket.distinct_sa()].0;
-    let tuple = table.interner().tuple(q).to_vec();
-    match i % 3 {
-        0 => (TableDelta::new().insert(tuple, s, (b + 1) % m), "insert"),
-        1 => (TableDelta::new().retract(tuple, s, b), "retract"),
-        _ => (TableDelta::new().move_record(tuple, s, b, (b + 1) % m), "move"),
     }
 }
 
@@ -136,14 +104,8 @@ impl DeltaEpochRun {
 /// The full report — everything `BENCH_table_delta.json` records.
 #[derive(Debug, Clone)]
 pub struct TableDeltaBenchReport {
-    /// Workload scale label (`"quick"` / `"full"`).
-    pub scale: String,
-    /// Generator seed.
-    pub seed: u64,
-    /// Records in the workload (at epoch 0).
-    pub records: usize,
-    /// Buckets in the publication.
-    pub buckets: usize,
+    /// The workload, at epoch 0.
+    pub header: Header,
     /// Antecedent arity of the mined knowledge.
     pub arity: usize,
     /// Background-knowledge rules held by the session.
@@ -163,12 +125,7 @@ pub struct TableDeltaBenchReport {
 impl TableDeltaBenchReport {
     /// Median over the per-delta speedups (robust to one noisy run).
     pub fn median_speedup(&self) -> f64 {
-        if self.runs.is_empty() {
-            return 0.0;
-        }
-        let mut s: Vec<f64> = self.runs.iter().map(|r| r.speedup).collect();
-        s.sort_by(|a, b| a.total_cmp(b));
-        s[s.len() / 2]
+        median(self.runs.iter().map(|r| r.speedup).collect(), f64::total_cmp).unwrap_or(0.0)
     }
 
     /// Whether every delta reproduced the from-scratch bits.
@@ -176,67 +133,46 @@ impl TableDeltaBenchReport {
         self.runs.iter().all(|r| r.identical_to_scratch)
     }
 
-    /// Serialises the report as pretty-printed JSON (hand-rolled: the
-    /// offline workspace has no serde).
+    /// Serialises the report as pretty-printed JSON.
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n");
-        s.push_str("  \"bench\": \"table_delta\",\n");
-        s.push_str(&format!("  \"scale\": \"{}\",\n", self.scale));
-        s.push_str(&format!("  \"seed\": {},\n", self.seed));
-        s.push_str(&format!("  \"records\": {},\n", self.records));
-        s.push_str(&format!("  \"buckets\": {},\n", self.buckets));
-        s.push_str(&format!("  \"arity\": {},\n", self.arity));
-        s.push_str(&format!("  \"rules\": {},\n", self.rules));
-        s.push_str(&format!("  \"threads\": {},\n", self.threads));
-        s.push_str(&format!(
-            "  \"available_parallelism\": {},\n",
-            self.available_parallelism
-        ));
-        s.push_str(&format!("  \"components\": {},\n", self.components));
-        s.push_str(&format!(
-            "  \"initial_build_seconds\": {:.6},\n",
-            self.initial_build.as_secs_f64()
-        ));
-        s.push_str(&format!("  \"median_speedup\": {:.3},\n", self.median_speedup()));
-        s.push_str(&format!("  \"all_identical\": {},\n", self.all_identical()));
-        s.push_str("  \"deltas\": [\n");
-        for (i, r) in self.runs.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"kind\": \"{}\", \"apply_seconds\": {:.6}, \
-                 \"rebase_seconds\": {:.6}, \"refresh_seconds\": {:.6}, \
-                 \"incremental_seconds\": {:.6}, \"from_scratch_seconds\": {:.6}, \
-                 \"from_scratch_build_seconds\": {:.6}, \"speedup\": {:.3}, \
-                 \"recompiled_buckets\": {}, \"recompiled_rules\": {}, \
-                 \"resolved\": {}, \"closed_form\": {}, \"reused\": {}, \
-                 \"identical_to_scratch\": {}}}{}\n",
-                r.kind,
-                r.apply.as_secs_f64(),
-                r.rebase.as_secs_f64(),
-                r.refresh.as_secs_f64(),
-                r.incremental().as_secs_f64(),
-                r.from_scratch.as_secs_f64(),
-                r.from_scratch_build.as_secs_f64(),
-                r.speedup,
-                r.recompiled_buckets,
-                r.recompiled_rules,
-                r.resolved,
-                r.closed_form,
-                r.reused,
-                r.identical_to_scratch,
-                if i + 1 < self.runs.len() { "," } else { "" },
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
+        Json::report("table_delta")
+            .header(&self.header)
+            .field("arity", self.arity)
+            .field("rules", self.rules)
+            .field("threads", self.threads)
+            .field("available_parallelism", self.available_parallelism)
+            .field("components", self.components)
+            .secs("initial_build_seconds", self.initial_build)
+            .fixed("median_speedup", self.median_speedup(), 3)
+            .field("all_identical", self.all_identical())
+            .rows(
+                "deltas",
+                self.runs.iter().map(|r| {
+                    Json::default()
+                        .text("kind", &r.kind)
+                        .secs("apply_seconds", r.apply)
+                        .secs("rebase_seconds", r.rebase)
+                        .secs("refresh_seconds", r.refresh)
+                        .secs("incremental_seconds", r.incremental())
+                        .secs("from_scratch_seconds", r.from_scratch)
+                        .secs("from_scratch_build_seconds", r.from_scratch_build)
+                        .fixed("speedup", r.speedup, 3)
+                        .field("recompiled_buckets", r.recompiled_buckets)
+                        .field("recompiled_rules", r.recompiled_rules)
+                        .field("resolved", r.resolved)
+                        .field("closed_form", r.closed_form)
+                        .field("reused", r.reused)
+                        .field("identical_to_scratch", r.identical_to_scratch)
+                }),
+            )
+            .render()
     }
 
     /// Human-readable table (stdout companion of the JSON artifact).
     pub fn print_table(&self) {
         println!(
-            "table-delta epochs — {} scale, seed {}: {} records, {} buckets, \
-             {} arity-{} rules, {} thread(s)",
-            self.scale, self.seed, self.records, self.buckets, self.rules, self.arity,
-            self.threads
+            "table-delta epochs — {}, {} arity-{} rules, {} thread(s)",
+            self.header, self.rules, self.arity, self.threads
         );
         println!(
             "{} components; epoch-0 CompiledTable::build: {:.1} ms",
@@ -272,28 +208,16 @@ impl TableDeltaBenchReport {
 /// `apply + rebase + refresh` against a from-scratch compile-and-replay of
 /// the post-delta table.
 pub fn run(cfg: &TableDeltaBenchConfig) -> TableDeltaBenchReport {
-    let data = AdultGenerator::new(AdultGeneratorConfig {
-        records: cfg.scale.records(),
-        seed: cfg.seed,
-    })
-    .generate();
-    let table = AnatomyBucketizer::new(AnatomyConfig { ell: 5, exempt_top: 1 })
-        .publish(&data)
-        .expect("bucketization succeeds at bench scale");
-    let mined = RuleMiner::new(MinerConfig { min_support: 3, arities: vec![cfg.arity] })
-        .mine(&data);
-    let items: Vec<Knowledge> = mined
-        .top_k(cfg.k_positive, cfg.k_negative)
-        .iter()
-        .map(|r| Knowledge::from_rule(r, data.schema()).expect("mined rules are valid"))
-        .collect();
+    let adult = Adult::generate(cfg.scale, cfg.seed);
+    let header = adult.header.clone();
+    let (items, _) = adult.top_k(cfg.arity, cfg.k_positive, cfg.k_negative);
     let config = engine_config(cfg.threads);
 
     // Warmup build (page everything in), then the measured epoch-0 build.
-    let _ = CompiledTable::build(table.clone(), config.clone()).expect("baseline solves");
+    let _ = CompiledTable::build(adult.table.clone(), config.clone()).expect("baseline solves");
     let t = Instant::now();
     let mut artifact = Arc::new(
-        CompiledTable::build(table, config.clone()).expect("baseline solves"),
+        CompiledTable::build(adult.table, config.clone()).expect("baseline solves"),
     );
     let initial_build = t.elapsed();
 
@@ -302,13 +226,7 @@ pub fn run(cfg: &TableDeltaBenchConfig) -> TableDeltaBenchReport {
     session.refresh().expect("mined knowledge is feasible");
 
     let mut report = TableDeltaBenchReport {
-        scale: match cfg.scale {
-            Scale::Full => "full".to_string(),
-            Scale::Quick => "quick".to_string(),
-        },
-        seed: cfg.seed,
-        records: artifact.table().total_records(),
-        buckets: artifact.table().num_buckets(),
+        header,
         arity: cfg.arity,
         rules: items.len(),
         threads: cfg.threads,
@@ -374,10 +292,7 @@ mod tests {
 
     fn tiny_report() -> TableDeltaBenchReport {
         TableDeltaBenchReport {
-            scale: "quick".into(),
-            seed: 7,
-            records: 100,
-            buckets: 20,
+            header: Header { scale: Scale::Quick, seed: 7, records: 100, buckets: 20 },
             arity: 4,
             rules: 10,
             threads: 1,
@@ -468,10 +383,10 @@ mod tests {
         assert!(report.all_identical(), "an epoch diverged from from-scratch bits");
         for r in &report.runs {
             assert!(
-                r.recompiled_buckets < report.buckets / 4,
+                r.recompiled_buckets < report.header.buckets / 4,
                 "a single-record delta recompiled {} of {} buckets",
                 r.recompiled_buckets,
-                report.buckets
+                report.header.buckets
             );
             assert!(r.reused > 0, "nothing was reused across the epoch");
         }

@@ -8,9 +8,7 @@
 //! environment, so [`adult`] provides a **synthetic substitute with the same
 //! schema**: identical attribute names, identical domain arities, and a
 //! hand-built latent-class dependence model that produces the correlated,
-//! heavy-tailed QI↔SA structure association-rule mining needs. See
-//! `DESIGN.md` §2 for why this substitution preserves the paper's
-//! experimental behaviour.
+//! heavy-tailed QI↔SA structure association-rule mining needs.
 //!
 //! [`workload`] adds smaller parameterised generators used by unit tests and
 //! the solver-scaling benchmarks.

@@ -22,7 +22,7 @@ use privacy_maxent::engine::EngineConfig;
 use privacy_maxent::metrics;
 
 fn main() {
-    // 1. The microdata: synthetic stand-in for UCI Adult (see DESIGN.md §2),
+    // 1. The microdata: synthetic stand-in for UCI Adult (see pm-datagen),
     //    scaled down so this example runs in seconds without --release too.
     let records = 5_000;
     let data = AdultGenerator::new(AdultGeneratorConfig { records, seed: 42 }).generate();

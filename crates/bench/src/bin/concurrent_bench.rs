@@ -13,12 +13,12 @@
 //!     --threads N             engine worker threads per solve         [default: 1]
 //!     --out PATH              JSON report path      [default: BENCH_concurrent.json]
 //!     --min-open-speedup X    fail unless open is X times faster than a full
-//!                             Analyst::new (median of 3). Self-skipping: when
-//!                             the 3 timed Analyst::new calls together take
-//!                             under 20 ms, too little to time reliably, the
-//!                             gate is skipped with a note, so quick-scale
-//!                             smoke runs don't flake — the Adult-scale CI
-//!                             run (~30 ms) enforces it.       [default: off]
+//!                             Analyst::new (median of 5). Self-skipping: when
+//!                             5 x the median Analyst::new is under 20 ms, too
+//!                             little to time reliably, the gate is skipped
+//!                             with a note, so quick-scale smoke runs don't
+//!                             flake — the Adult-scale CI run (~30 ms)
+//!                             enforces it.                    [default: off]
 //! ```
 //!
 //! Always fails if any concurrent fork's estimate is not bit-identical to
@@ -56,11 +56,11 @@ fn main() -> ExitCode {
     }
     let report = run(&cfg);
     report.print_table();
-    // The floor reads every timed Analyst::new, not just the median one.
-    let timed = report.analyst_new.total.as_secs_f64();
+    // The floor reads the median Analyst::new times the repeats behind it.
+    let timed = report.analyst_new.floor_seconds();
     let gate =
         Gate::at_least("--min-open-speedup", "open speedup", min_open_speedup, report.open_speedup)
-            .floor("Analyst::new total over the repeats", timed, BASELINE_FLOOR_SECONDS);
+            .floor("Analyst::new median x repeats", timed, BASELINE_FLOOR_SECONDS);
     let diverged = (!report.all_identical()).then(|| {
         "a concurrent fork diverged bitwise from its independent from-scratch estimate!".to_string()
     });

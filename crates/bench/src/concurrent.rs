@@ -50,7 +50,8 @@ pub struct ConcurrentBenchConfig {
     /// Timed `Analyst::open` iterations (opens are sub-microsecond, so the
     /// mean over many is reported).
     pub opens: usize,
-    /// Full `Analyst::new` timing repeats (the median is reported).
+    /// Full `Analyst::new` timing repeats (the median is reported; the
+    /// timing floor reads the median times this count).
     pub new_repeats: usize,
     /// Engine worker threads inside each solve (kept at 1 so the session
     /// threads themselves are the only concurrency).
@@ -67,7 +68,7 @@ impl Default for ConcurrentBenchConfig {
             k_negative: 150,
             sessions: 4,
             opens: 1000,
-            new_repeats: 3,
+            new_repeats: 5,
             threads: 1,
         }
     }
@@ -267,10 +268,7 @@ mod tests {
             rules: 10,
             threads: 1,
             available_parallelism: 8,
-            analyst_new: Timing {
-                median: Duration::from_millis(40),
-                total: Duration::from_millis(120),
-            },
+            analyst_new: Timing { median: Duration::from_millis(40), repeats: 3 },
             artifact_build: Duration::from_millis(41),
             session_open: Duration::from_micros(2),
             opens: 1000,

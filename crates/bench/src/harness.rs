@@ -343,8 +343,8 @@ pub fn median<T: Copy>(mut values: Vec<T>, cmp: impl FnMut(&T, &T) -> Ordering) 
 pub struct Timing {
     /// Upper median: the figure the report records.
     pub median: Duration,
-    /// Sum of every repeat: what a timing floor compares.
-    pub total: Duration,
+    /// How many repeats the median was taken over.
+    pub repeats: usize,
 }
 
 impl Timing {
@@ -354,9 +354,16 @@ impl Timing {
     ///
     /// Panics when `samples` is empty.
     pub fn of(samples: Vec<Duration>) -> Self {
-        let total = samples.iter().sum();
+        let repeats = samples.len();
         let median = median(samples, Ord::cmp).expect("at least one repeat was timed");
-        Self { median, total }
+        Self { median, repeats }
+    }
+
+    /// What a timing floor compares: the median times the repeat count.
+    /// Unlike the repeats' sum, one slow repeat cannot lift it over a
+    /// floor that the typical repeat stays far below.
+    pub fn floor_seconds(&self) -> f64 {
+        self.median.as_secs_f64() * self.repeats as f64
     }
 
     /// Times `repeats` calls of `f` (at least one) and keeps the last
@@ -550,6 +557,21 @@ mod tests {
         failed(&gate(0.020));
     }
 
+    /// The floor reads median × repeats: one slow repeat among fast ones
+    /// does not arm the gate (these five sum to 23 ms), repeats that are
+    /// all slow do.
+    #[test]
+    fn one_slow_repeat_does_not_arm_a_floored_gate() {
+        let verdict = |ms: &[u64]| {
+            let t = Timing::of(ms.iter().map(|&m| Duration::from_millis(m)).collect());
+            Gate::at_least("--min-load-speedup", "load speedup", Some(10.0), 30.0)
+                .floor("CompiledTable::build", t.floor_seconds(), BASELINE_FLOOR_SECONDS)
+                .verdict()
+        };
+        assert!(matches!(verdict(&[2, 2, 2, 2, 15]), Verdict::Skipped(_)));
+        assert!(matches!(verdict(&[10, 10, 10]), Verdict::Passed(_)));
+    }
+
     #[test]
     fn every_gate_is_judged_and_divergence_fails_unarmed() {
         let gates = [
@@ -623,7 +645,7 @@ mod tests {
                         \"empty\": [\n  ]\n}\n";
         assert_eq!(json, expected);
         let t = Timing::of([3, 1, 2].map(Duration::from_millis).to_vec());
-        assert_eq!((t.median, t.total), (Duration::from_millis(2), Duration::from_millis(6)));
+        assert_eq!((t.median, t.repeats), (Duration::from_millis(2), 3));
         assert_eq!(median(vec![9.0, 20.0], f64::total_cmp), Some(20.0), "upper median");
         assert_eq!(median(Vec::<f64>::new(), f64::total_cmp), None);
     }

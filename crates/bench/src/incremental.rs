@@ -8,9 +8,8 @@
 //! `add_knowledge + refresh` against a from-scratch `Engine::estimate`
 //! with the same final knowledge set — and bit-compares the two estimates,
 //! because the speedup claim is only meaningful if the answers are
-//! identical. A warm-started session (`EngineConfig::warm_start`) runs the
-//! same deltas for comparison, reporting its maximum deviation from the
-//! exact path.
+//! identical. Every re-solve is cold-started, so the refreshed session and
+//! the from-scratch solve must agree bit for bit.
 //!
 //! One machine-readable JSON report (`BENCH_incremental.json` by
 //! convention) records it all.
@@ -18,7 +17,7 @@
 use std::time::{Duration, Instant};
 
 use privacy_maxent::analyst::Analyst;
-use privacy_maxent::engine::{Engine, Estimate};
+use privacy_maxent::engine::Engine;
 
 use crate::harness::{engine_config, knowledge_base, median, Adult, Header, Json};
 use crate::pipeline::Scale;
@@ -76,10 +75,6 @@ pub struct DeltaRun {
     /// Whether the refreshed estimate is bit-identical to the from-scratch
     /// solve.
     pub identical_to_scratch: bool,
-    /// Wall time of the same delta on the warm-started session.
-    pub warm_incremental: Duration,
-    /// Max absolute term-value deviation of the warm session from exact.
-    pub warm_max_abs_delta: f64,
 }
 
 /// The full report — everything `BENCH_incremental.json` records.
@@ -138,8 +133,6 @@ impl IncrementalBenchReport {
                         .field("closed_form", r.closed_form)
                         .field("reused", r.reused)
                         .field("identical_to_scratch", r.identical_to_scratch)
-                        .secs("warm_incremental_seconds", r.warm_incremental)
-                        .field("warm_max_abs_delta", format_args!("{:.3e}", r.warm_max_abs_delta))
                 }),
             )
             .render()
@@ -157,13 +150,12 @@ impl IncrementalBenchReport {
             self.session_open.as_secs_f64() * 1e3
         );
         println!(
-            "{:>6}  {:>11}  {:>12}  {:>8}  {:>17}  {:>9}  {:>11}  {:>10}",
-            "delta", "incr (ms)", "scratch (ms)", "speedup", "resolved/reused",
-            "identical", "warm (ms)", "warm |Δ|"
+            "{:>6}  {:>11}  {:>12}  {:>8}  {:>17}  {:>9}",
+            "delta", "incr (ms)", "scratch (ms)", "speedup", "resolved/reused", "identical"
         );
         for (i, r) in self.runs.iter().enumerate() {
             println!(
-                "{:>6}  {:>11.3}  {:>12.3}  {:>7.1}x  {:>8}/{:<8}  {:>9}  {:>11.3}  {:>10.1e}",
+                "{:>6}  {:>11.3}  {:>12.3}  {:>7.1}x  {:>8}/{:<8}  {:>9}",
                 i + 1,
                 r.incremental.as_secs_f64() * 1e3,
                 r.from_scratch.as_secs_f64() * 1e3,
@@ -171,48 +163,33 @@ impl IncrementalBenchReport {
                 r.resolved + r.closed_form,
                 r.reused,
                 r.identical_to_scratch,
-                r.warm_incremental.as_secs_f64() * 1e3,
-                r.warm_max_abs_delta,
             );
         }
         println!("median speedup: {:.1}x", self.median_speedup());
     }
 }
 
-fn max_abs_delta(a: &Estimate, b: &Estimate) -> f64 {
-    a.term_values()
-        .iter()
-        .zip(b.term_values())
-        .fold(0.0f64, |m, (x, y)| m.max((x - y).abs()))
-}
-
 /// Runs the sweep: open a session with the base knowledge, then measure
 /// each single-rule delta against a from-scratch estimate of the same
-/// final set (plus the warm-started variant).
+/// final set.
 pub fn run(cfg: &IncrementalBenchConfig) -> IncrementalBenchReport {
     let adult = Adult::generate(cfg.scale, cfg.seed);
     let (base, deltas) =
         adult.base_and_deltas(cfg.arity, cfg.k_positive, cfg.k_negative, cfg.deltas);
     let config = engine_config(cfg.threads);
-    let mut warm_config = config.clone();
-    warm_config.warm_start = true;
     let engine = Engine::new(config.clone());
 
     // Base knowledge bases, session-insertion order.
     let mut kb = knowledge_base(base.iter().cloned());
 
     // Warmup: page the workload in so neither path is charged first-touch
-    // costs, then open the measured sessions.
+    // costs, then open the measured session.
     let _ = engine.estimate(&adult.table, &kb).expect("base knowledge is feasible");
     let open_start = Instant::now();
     let mut exact = Analyst::new(adult.table.clone(), config).expect("baseline solves");
     exact.add_knowledge_batch(&base).expect("base knowledge compiles");
     exact.refresh().expect("base knowledge is feasible");
     let session_open = open_start.elapsed();
-
-    let mut warm = Analyst::new(adult.table.clone(), warm_config).expect("baseline solves");
-    warm.add_knowledge_batch(&base).expect("base knowledge compiles");
-    warm.refresh().expect("base knowledge is feasible");
 
     let mut report = IncrementalBenchReport {
         header: adult.header.clone(),
@@ -232,12 +209,6 @@ pub fn run(cfg: &IncrementalBenchConfig) -> IncrementalBenchReport {
         let stats = exact.refresh().expect("delta is feasible");
         let incremental = t.elapsed();
 
-        // Warm-started session, same delta.
-        let t = Instant::now();
-        let _ = warm.add_knowledge(delta.clone()).expect("delta compiles");
-        warm.refresh().expect("delta is feasible");
-        let warm_incremental = t.elapsed();
-
         // From scratch with the same final knowledge set, same order.
         kb.push(delta.clone()).expect("valid knowledge");
         let t = Instant::now();
@@ -252,8 +223,6 @@ pub fn run(cfg: &IncrementalBenchConfig) -> IncrementalBenchReport {
             closed_form: stats.closed_form,
             reused: stats.reused,
             identical_to_scratch: exact.estimate().term_values() == scratch.term_values(),
-            warm_incremental,
-            warm_max_abs_delta: max_abs_delta(warm.estimate(), &scratch),
         });
     }
     report
@@ -281,8 +250,6 @@ mod tests {
                     closed_form: 0,
                     reused: 14,
                     identical_to_scratch: true,
-                    warm_incremental: Duration::from_micros(400),
-                    warm_max_abs_delta: 3e-9,
                 },
                 DeltaRun {
                     incremental: Duration::from_millis(1),
@@ -292,8 +259,6 @@ mod tests {
                     closed_form: 1,
                     reused: 12,
                     identical_to_scratch: true,
-                    warm_incremental: Duration::from_micros(800),
-                    warm_max_abs_delta: 1e-8,
                 },
             ],
         }
@@ -309,7 +274,6 @@ mod tests {
         assert!(j.contains("\"median_speedup\": 20.000"));
         assert!(j.contains("\"all_identical\": true"));
         assert!(j.contains("\"resolved\": 1"));
-        assert!(j.contains("\"warm_max_abs_delta\": 3.000e-9"));
         // Exactly one trailing comma between the two delta rows.
         assert_eq!(j.matches("},\n").count(), 1);
     }
@@ -352,7 +316,6 @@ mod tests {
                 r.resolved + r.closed_form,
                 report.components
             );
-            assert!(r.warm_max_abs_delta < 1e-6, "warm path diverged: {}", r.warm_max_abs_delta);
         }
         assert!(!report.to_json().is_empty());
     }

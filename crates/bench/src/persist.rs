@@ -257,10 +257,7 @@ mod tests {
             threads: 1,
             available_parallelism: 8,
             repeats: 3,
-            build: Timing {
-                median: Duration::from_millis(40),
-                total: Duration::from_millis(120),
-            },
+            build: Timing { median: Duration::from_millis(40), repeats: 3 },
             save: Duration::from_millis(2),
             snapshot_bytes: 96_000,
             cold_load: Duration::from_millis(2),

@@ -68,9 +68,6 @@ pub struct SessionOptions {
     pub base: Option<Options>,
     /// Script file to execute instead of reading commands from stdin.
     pub script: Option<String>,
-    /// Warm-start dirty re-solves from cached duals (faster refreshes,
-    /// not bit-replayable).
-    pub warm_start: bool,
     /// Open over a read-only snapshot (`CompiledTable::load`) instead of
     /// compiling; epoch advances stay in memory.
     pub artifact: Option<String>,
@@ -274,7 +271,7 @@ pub fn parse_compile(argv: &[String]) -> Result<CompileOptions, ParseError> {
                         .into(),
                 ))
             }
-            "--script" | "--warm-start" | "--artifact" | "--persist" => {
+            "--script" | "--artifact" | "--persist" => {
                 return Err(ParseError(format!(
                     "{flag} is a session option; run `pmx session` to evolve knowledge"
                 )))
@@ -287,14 +284,13 @@ pub fn parse_compile(argv: &[String]) -> Result<CompileOptions, ParseError> {
 
 /// Parses `pmx session` arguments: everything `pmx quantify` accepts
 /// (minus `--bounds`, which makes no sense for a session) plus
-/// `--script FILE`, `--warm-start`, `--artifact FILE` (open over a saved
-/// snapshot) and `--persist DIR` (durable snapshot + WAL). With
+/// `--script FILE`, `--artifact FILE` (open over a saved snapshot) and
+/// `--persist DIR` (durable snapshot + WAL). With
 /// `--artifact` or `--persist` the data source becomes optional; without
 /// one, the other base flags are rejected too — the engine config comes
 /// from the persisted snapshot.
 pub fn parse_session(argv: &[String]) -> Result<SessionOptions, ParseError> {
     let mut script = None;
-    let mut warm_start = false;
     let mut artifact = None;
     let mut persist = None;
     let mut base_argv: Vec<String> = Vec::with_capacity(argv.len());
@@ -307,7 +303,6 @@ pub fn parse_session(argv: &[String]) -> Result<SessionOptions, ParseError> {
         };
         match flag.as_str() {
             "--script" => script = Some(value("--script")?),
-            "--warm-start" => warm_start = true,
             "--artifact" => artifact = Some(value("--artifact")?),
             "--persist" => persist = Some(value("--persist")?),
             "--bounds" => {
@@ -338,19 +333,12 @@ pub fn parse_session(argv: &[String]) -> Result<SessionOptions, ParseError> {
                  engine config comes from the persisted artifact"
             )));
         }
-        if warm_start {
-            return Err(ParseError(
-                "--warm-start requires a data source; without one the engine \
-                 config comes from the persisted artifact"
-                    .into(),
-            ));
-        }
         None
     } else {
         // No source and nothing persisted: surface the standard error.
         Some(parse(&base_argv)?)
     };
-    Ok(SessionOptions { base, script, warm_start, artifact, persist })
+    Ok(SessionOptions { base, script, artifact, persist })
 }
 
 /// Parses `pmx serve` arguments: the session persistence flags
@@ -406,9 +394,7 @@ pub fn parse_serve(argv: &[String]) -> Result<ServeOptions, ParseError> {
                         .into(),
                 ))
             }
-            "--script" | "--warm-start" => {
-                return Err(ParseError(format!("{flag} is a session option")))
-            }
+            "--script" => return Err(ParseError(format!("{flag} is a session option"))),
             other => base_argv.push(other.to_string()),
         }
     }
@@ -613,7 +599,6 @@ mod tests {
         assert_eq!(o.out, None);
         assert!(parse_compile(&argv("--synthetic adult:100 --bounds 0,10")).is_err());
         assert!(parse_compile(&argv("--synthetic adult:100 --script x.pmx")).is_err());
-        assert!(parse_compile(&argv("--synthetic adult:100 --warm-start")).is_err());
         assert!(parse_compile(&argv("--synthetic adult:100 --persist d")).is_err());
     }
 
@@ -627,11 +612,10 @@ mod tests {
     #[test]
     fn session_options() {
         let o = parse_session(&argv(
-            "--synthetic medical:500 --script deltas.pmx --warm-start --threads 2",
+            "--synthetic medical:500 --script deltas.pmx --threads 2",
         ))
         .unwrap();
         assert_eq!(o.script.as_deref(), Some("deltas.pmx"));
-        assert!(o.warm_start);
         let base = o.base.expect("source given");
         assert_eq!(base.threads, 2);
         assert_eq!(
@@ -641,7 +625,6 @@ mod tests {
 
         let o = parse_session(&argv("--synthetic adult:100")).unwrap();
         assert_eq!(o.script, None);
-        assert!(!o.warm_start);
         assert_eq!(o.artifact, None);
         assert_eq!(o.persist, None);
 
@@ -770,10 +753,6 @@ mod tests {
         assert!(
             parse_session(&argv("--artifact a.pmx --threads 2")).is_err(),
             "engine flags need a source"
-        );
-        assert!(
-            parse_session(&argv("--artifact a.pmx --warm-start")).is_err(),
-            "warm-start needs a source"
         );
     }
 }

@@ -14,8 +14,8 @@
 //!     `pmx session` runs the identical build, so anything a session can
 //!     serve, this command has fully precompiled. `--out FILE` saves the
 //!     artifact as a versioned snapshot that `pmx session --artifact` /
-//!     `--persist` reopens without recompiling. `--bounds`, `--script`
-//!     and `--warm-start` are rejected.
+//!     `--persist` reopens without recompiling. `--bounds` and `--script`
+//!     are rejected.
 //!
 //! pmx compact DIR
 //!     Fold a persistence directory's WAL into a fresh snapshot: recover
@@ -28,8 +28,9 @@
 //!     query / report / reset), interactively from stdin or via --script
 //!     FILE. The publication compiles once into the shared artifact; each
 //!     refresh re-solves only the components the deltas touched, and
-//!     `reset` reopens from the artifact in O(1).
-//!     Extra options: --script FILE, --warm-start, --artifact FILE (open
+//!     `reset` reopens from the artifact in O(1). Every re-solve is
+//!     cold-started, so its bits match a from-scratch solve.
+//!     Extra options: --script FILE, --artifact FILE (open
 //!     over a saved snapshot; no recompile, no data source needed),
 //!     --persist DIR (durable snapshot + WAL: recover on start, journal
 //!     every rebase). `--bounds` is rejected.

@@ -81,11 +81,10 @@ pub fn run(options: &SessionOptions) -> Result<(), Box<dyn Error>> {
         _ => None,
     };
     println!(
-        "session open: {} buckets, {} components, epoch {}, warm-start {}, journal {}\n",
+        "session open: {} buckets, {} components, epoch {}, journal {}\n",
         analyst.table().num_buckets(),
         analyst.num_components(),
         analyst.epoch(),
-        if options.warm_start { "on" } else { "off" },
         if wal.is_some() { "on" } else { "off" },
     );
     let mut session = Session::new(analyst, mining, wal);
@@ -115,7 +114,6 @@ fn open_analyst(options: &SessionOptions) -> Result<OpenedArtifact, Box<dyn Erro
         EngineConfig::builder()
             .residual_limit(f64::INFINITY)
             .threads(base.threads)
-            .warm_start(options.warm_start)
             .build()
     };
     if let Some(path) = &options.artifact {
@@ -323,12 +321,11 @@ impl Session {
     fn cmd_refresh(&mut self) -> Result<String, Box<dyn Error>> {
         let stats = self.analyst.refresh()?;
         Ok(format!(
-            "refreshed in {:.3} ms: {} component(s), {} re-solved ({} warm), \
+            "refreshed in {:.3} ms: {} component(s), {} re-solved, \
              {} closed-form, {} reused",
             stats.wall.as_secs_f64() * 1e3,
             stats.components,
             stats.resolved,
-            stats.warm_started,
             stats.closed_form,
             stats.reused,
         ))

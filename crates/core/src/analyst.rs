@@ -1,6 +1,7 @@
 //! The resident [`Analyst`] session: a lightweight, forkable handle over a
 //! shared [`CompiledTable`] artifact, with incremental knowledge deltas,
-//! component-level dirty tracking and warm-started re-solves.
+//! component-level dirty tracking and cold-started, bit-identical
+//! re-solves.
 //!
 //! # Compile once, serve many
 //!
@@ -32,9 +33,8 @@
 //!   and re-solves **only the components containing a dirty bucket**. Clean
 //!   components keep their overlay (or baseline) values verbatim; dirty
 //!   irrelevant components revert to the artifact's Theorem 5 baseline;
-//!   dirty relevant components re-solve on the `pm-parallel` pool —
-//!   optionally warm-started from the previous refresh's dual vectors
-//!   ([`EngineConfig::warm_start`]).
+//!   dirty relevant components re-solve on the `pm-parallel` pool, each
+//!   cold-started from the dual origin.
 //! * [`Analyst::conditional`], [`Analyst::batch`] and [`Analyst::report`]
 //!   serve queries from the merged current [`Estimate`] without any
 //!   recompute.
@@ -71,23 +71,21 @@
 //!
 //! # Determinism
 //!
-//! With [`EngineConfig::warm_start`] off (the default), a refresh is
-//! **bit-identical** to a from-scratch [`Engine::estimate`] holding the
-//! same final knowledge set (in the same insertion order), for every thread
-//! count: clean components are reused verbatim and dirty ones re-solve the
-//! identical cold-started local system. The same holds for any tree of
-//! [`Analyst::fork`]s — each fork's estimate depends only on its own final
-//! knowledge set. Warm starts converge to the same optimum within
-//! tolerance but along a different path, so low-order bits differ — opt in
-//! when serving latency matters more than replayability.
+//! A refresh is **bit-identical** to a from-scratch [`Engine::estimate`]
+//! holding the same final knowledge set (in the same insertion order), for
+//! every thread count: clean components are reused verbatim and dirty ones
+//! re-solve the identical cold-started local system. No solve is seeded
+//! from an earlier one, so an estimate's bits depend on the session's
+//! knowledge set alone, never on the refreshes that led to it. The same
+//! holds for any tree of [`Analyst::fork`]s — each fork's estimate depends
+//! only on its own final knowledge set.
 //!
 //! [`CompiledTable`]: crate::compiled::CompiledTable
 //! [`CompiledTable::build`]: crate::compiled::CompiledTable::build
 //! [`CompiledTable::apply`]: crate::compiled::CompiledTable::apply
 //! [`Engine::estimate`]: crate::engine::Engine::estimate
-//! [`EngineConfig::warm_start`]: crate::engine::EngineConfig::warm_start
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -177,9 +175,6 @@ pub struct RefreshStats {
     pub closed_form: usize,
     /// Clean components whose previous solution was reused verbatim.
     pub reused: usize,
-    /// Numeric re-solves that started from a non-zero cached dual
-    /// (always 0 with [`EngineConfig::warm_start`] off).
-    pub warm_started: usize,
     /// Whether the Section 6 individual layer was re-solved.
     pub individual_resolve: bool,
     /// Wall time of the whole refresh.
@@ -256,26 +251,6 @@ struct KnowledgeEntry {
     footprint: Vec<usize>,
 }
 
-/// Identity of a dual variable across refreshes, for warm starts. Invariant
-/// rows are identified by their bucket-local origin, knowledge rows by the
-/// stable handle (their positional index shifts as items come and go).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum DualKey {
-    Qi { q: QiId, b: usize },
-    Sa { s: Value, b: usize },
-    Knowledge { handle: KnowledgeHandle },
-}
-
-fn dual_key(origin: &ConstraintOrigin, entries: &[KnowledgeEntry]) -> Option<DualKey> {
-    match *origin {
-        ConstraintOrigin::QiInvariant { q, b } => Some(DualKey::Qi { q, b }),
-        ConstraintOrigin::SaInvariant { s, b } => Some(DualKey::Sa { s, b }),
-        ConstraintOrigin::Knowledge { index } => {
-            entries.get(index).map(|e| DualKey::Knowledge { handle: e.handle })
-        }
-    }
-}
-
 /// A long-lived Privacy-MaxEnt session over one published table — a
 /// lightweight handle on a shared [`CompiledTable`] artifact.
 ///
@@ -310,8 +285,6 @@ pub struct Analyst {
     /// The served estimate — an `Arc` so [`Analyst::snapshot`] readers keep
     /// a consistent view across refreshes.
     estimate: Arc<Estimate>,
-    /// Dual vectors of the last refresh, by row identity (warm starts).
-    dual_cache: HashMap<DualKey, f64>,
     individuals: Vec<Knowledge>,
     individuals_stale: bool,
     person: Option<PersonEstimate>,
@@ -354,7 +327,7 @@ impl Analyst {
     }
 
     /// [`Analyst::open`] with per-session [`EngineConfig`] overrides
-    /// (solver, tolerance, thread count, warm starts, …).
+    /// (solver, tolerance, thread count, …).
     ///
     /// The artifact bakes in [`EngineConfig::decompose`] and
     /// [`EngineConfig::concise_invariants`] — its invariant rows and
@@ -432,7 +405,6 @@ impl Analyst {
             partition_stale: true,
             overlay,
             estimate,
-            dual_cache: HashMap::new(),
             individuals: Vec::new(),
             individuals_stale: false,
             person: None,
@@ -456,7 +428,7 @@ impl Analyst {
     ///
     /// The fork shares the artifact (an `Arc` bump) and starts from this
     /// session's exact state — knowledge set, pending deltas, overlay,
-    /// dual cache, served estimate. From there the two evolve independently:
+    /// served estimate. From there the two evolve independently:
     /// deltas and refreshes on one are invisible to the other, and each
     /// stays bit-identical to a from-scratch solve of its own knowledge
     /// set. Handles issued before the fork are valid in both sessions.
@@ -476,7 +448,6 @@ impl Analyst {
             // first write (copy-on-write; see `overlay::FlatOverlay`).
             overlay: self.overlay.clone(),
             estimate: Arc::clone(&self.estimate),
-            dual_cache: self.dual_cache.clone(),
             individuals: self.individuals.clone(),
             individuals_stale: self.individuals_stale,
             person: self.person.clone(),
@@ -748,7 +719,6 @@ impl Analyst {
                     changed += 1;
                     self.dirty.extend(entry.footprint.iter().copied());
                     self.dirty.extend(footprint.iter().copied());
-                    self.dual_cache.remove(&DualKey::Knowledge { handle: entry.handle });
                 }
                 entry.coeffs = c.coeffs;
                 entry.rhs = c.rhs;
@@ -786,10 +756,6 @@ impl Analyst {
         // Untouched slots carry their count-space values verbatim onto the
         // successor epoch; only the bucket count and epoch tag move.
         self.overlay.rebase(new.table().num_buckets(), new.epoch());
-        self.dual_cache.retain(|k, _| match *k {
-            DualKey::Qi { b, .. } | DualKey::Sa { b, .. } => !touched.contains(&b),
-            DualKey::Knowledge { .. } => true,
-        });
         let carried = self.overlay.len();
         self.stale = true;
         // The partition survives the rebase iff its row numbering does:
@@ -917,7 +883,6 @@ impl Analyst {
             .ok_or(PmError::StaleHandle { handle })?;
         let entry = self.entries.remove(pos);
         self.dirty.extend(entry.footprint.iter().copied());
-        self.dual_cache.remove(&DualKey::Knowledge { handle });
         self.stale = true;
         self.partition_stale = true;
         Ok(entry.item)
@@ -1082,16 +1047,6 @@ impl Analyst {
         // earliest-indexed observed failure is reported.
         let config = &self.config;
         let table = artifact.table();
-        let entries = &self.entries;
-        let dual_cache = &self.dual_cache;
-        let warm_fn = move |ci: usize| -> f64 {
-            dual_key(&rows.get(ci).origin, entries)
-                .and_then(|k| dual_cache.get(&k).copied())
-                .unwrap_or(0.0)
-        };
-        let warm: Option<&(dyn Fn(usize) -> f64 + Sync)> =
-            if config.warm_start { Some(&warm_fn) } else { None };
-
         let failed = AtomicBool::new(false);
         let solved = pm_parallel::map_with(
             config.threads,
@@ -1101,8 +1056,7 @@ impl Analyst {
                 if failed.load(Ordering::Relaxed) {
                     return None; // skipped: another component already failed
                 }
-                let result =
-                    solve_component(config, table, index, rows, &components[ci], warm, scratch);
+                let result = solve_component(config, table, index, rows, &components[ci], scratch);
                 if result.is_err() {
                     failed.store(true, Ordering::Relaxed);
                 }
@@ -1154,11 +1108,7 @@ impl Analyst {
             },
             ..Default::default()
         };
-        let mut warm_started = 0usize;
         for (ci, sol) in solutions {
-            if sol.warm_seeded {
-                warm_started += 1;
-            }
             estats.num_constraints += sol.num_constraints;
             estats.num_free_terms += sol.num_free_terms;
             // A component's local term space is the concatenation of its
@@ -1171,15 +1121,6 @@ impl Analyst {
                 offset += len;
             }
             debug_assert_eq!(offset, sol.values.len(), "component terms must cover buckets");
-            // No key collisions here: the only rows sharing an origin are
-            // the per-bucket splits of a separable zero rule, and those
-            // have rhs = 0, so preprocessing always eliminates them before
-            // the solver — they never appear among surviving duals.
-            for &(ri, lam) in &sol.duals {
-                if let Some(key) = dual_key(&rows.get(ri).origin, &self.entries) {
-                    self.dual_cache.insert(key, lam);
-                }
-            }
             if let Some(s) = sol.stats {
                 estats.component_stats.push(s);
             }
@@ -1234,7 +1175,6 @@ impl Analyst {
             resolved,
             closed_form,
             reused,
-            warm_started,
             individual_resolve,
             wall: start.elapsed(),
             solver,
@@ -1435,7 +1375,7 @@ mod tests {
         // Per-session knobs are fine.
         let session = Analyst::open_with(
             Arc::clone(&artifact),
-            EngineConfig::builder().threads(2).warm_start(true).build(),
+            EngineConfig::builder().threads(2).build(),
         )
         .unwrap();
         assert_eq!(session.config().threads, 2);
@@ -1709,37 +1649,6 @@ mod tests {
             fresh.refresh().unwrap();
             assert_eq!(analyst.estimate().term_values(), fresh.estimate().term_values());
             assert_eq!(analyst.num_components(), fresh.num_components());
-        }
-    }
-
-    /// Warm starts converge to the same optimum (within tolerance) as cold
-    /// re-solves, and the refresh reports them.
-    #[test]
-    fn warm_start_matches_within_tolerance() {
-        let (_, table) = paper_example();
-        let mut cold =
-            Analyst::new(table.clone(), EngineConfig::default()).unwrap();
-        let mut warm = Analyst::new(
-            table,
-            EngineConfig::builder().warm_start(true).build(),
-        )
-        .unwrap();
-        for analyst in [&mut cold, &mut warm] {
-            let _ = analyst.add_knowledge(conditional_k(vec![(0, 0)], 0, 0.3)).unwrap();
-            analyst.refresh().unwrap();
-            // Second delta re-solves a component whose rows now have cached
-            // duals — this is the warm-started path.
-            let _ = analyst.add_knowledge(conditional_k(vec![(0, 1)], 1, 0.4)).unwrap();
-            analyst.refresh().unwrap();
-        }
-        assert!(warm.last_refresh().warm_started > 0, "warm path not exercised");
-        assert_eq!(cold.last_refresh().warm_started, 0);
-        for q in 0..cold.estimate().distinct_qi() {
-            for s in 0..cold.estimate().sa_cardinality() as Value {
-                let c = cold.conditional(q, s);
-                let w = warm.conditional(q, s);
-                assert!((c - w).abs() < 1e-6, "q={q} s={s}: cold {c} vs warm {w}");
-            }
         }
     }
 

@@ -255,7 +255,6 @@ impl CompiledTable {
                 &core.index,
                 rows,
                 &comp,
-                None,
                 &mut SolveScratch::default(),
             )?;
             estats.num_constraints = sol.num_constraints;

@@ -54,7 +54,7 @@ use pm_linalg::CsrMatrix;
 use pm_microdata::qi::QiId;
 use pm_microdata::value::Value;
 use pm_solver::gradient::{gradient_descent, GradientDescentConfig};
-use pm_solver::scaling::{gis_with_primal_from, iis_from, ScalingConfig};
+use pm_solver::scaling::{gis_with_primal, iis, ScalingConfig};
 use pm_solver::stats::SolveStats;
 use pm_solver::{Lbfgs, LbfgsConfig, MaxEntDual};
 
@@ -78,9 +78,6 @@ struct SolvedSystem {
     num_constraints: usize,
     /// Free variables passed to the solver after preprocessing.
     num_free_terms: usize,
-    /// `(local constraint index, dual value)` for every surviving reduced
-    /// row — the warm-start feed for the next re-solve of this system.
-    duals: Vec<(usize, f64)>,
 }
 
 /// The constraint rows a component solve addresses, as one virtual list
@@ -91,9 +88,8 @@ struct SolvedSystem {
 /// bucket-local coordinates** (so untouched buckets share them across
 /// table epochs); `row_offsets` are the prefix sums mapping a bucket to its
 /// global row range. The knowledge tail — global term coordinates — is the
-/// session's private, per-refresh state. Global constraint indices — in
-/// [`Component::knowledge_rows`], warm-start callbacks and
-/// [`ComponentSolution::duals`] — address this virtual list: `ci <
+/// session's private, per-refresh state. Global constraint indices in
+/// [`Component::knowledge_rows`] address this virtual list: `ci <
 /// num_invariants` is an invariant row, anything above is
 /// `knowledge[ci - num_invariants]`. All right-hand sides are count-space.
 #[derive(Clone, Copy)]
@@ -113,25 +109,10 @@ impl RowSet<'_> {
         *self.row_offsets.last().expect("offsets hold the leading 0")
     }
 
-    /// The constraint behind global row index `ci`.
-    ///
-    /// Invariant rows come back in **bucket-local** coefficients; callers
-    /// needing term ids resolve them against the bucket's term range
-    /// ([`RowSet::invariant_bucket`] names the bucket). Origins are always
-    /// valid as-is — the warm-start path only reads those.
-    pub(crate) fn get(&self, ci: usize) -> &Constraint {
-        if ci < self.num_invariants() {
-            let b = self.invariant_bucket(ci);
-            &self.bucket_rows[b][ci - self.row_offsets[b]]
-        } else {
-            &self.knowledge[ci - self.num_invariants()]
-        }
-    }
-
-    /// The bucket owning invariant row `ci` (`ci < num_invariants`).
-    pub(crate) fn invariant_bucket(&self, ci: usize) -> usize {
-        debug_assert!(ci < self.num_invariants());
-        self.row_offsets.partition_point(|&o| o <= ci) - 1
+    /// The knowledge row behind global row index `ci` (`ci ≥
+    /// num_invariants`, as every [`Component::knowledge_rows`] entry is).
+    pub(crate) fn knowledge_row(&self, ci: usize) -> &Constraint {
+        &self.knowledge[ci - self.num_invariants()]
     }
 }
 
@@ -150,11 +131,6 @@ pub(crate) struct ComponentSolution {
     pub(crate) num_constraints: usize,
     /// Free variables passed to the solver after preprocessing.
     pub(crate) num_free_terms: usize,
-    /// `(global constraint index, dual value)` for the surviving rows of
-    /// the accepted solve — fed back into the session's dual cache.
-    pub(crate) duals: Vec<(usize, f64)>,
-    /// Whether any warm-start seed was non-zero (refresh statistics).
-    pub(crate) warm_seeded: bool,
 }
 
 /// Which numerical solver minimises the dual.
@@ -178,7 +154,7 @@ pub enum SolverKind {
 ///
 /// ```
 /// use privacy_maxent::engine::EngineConfig;
-/// let config = EngineConfig::builder().threads(2).warm_start(true).build();
+/// let config = EngineConfig::builder().threads(2).build();
 /// assert_eq!(config.threads, 2);
 /// ```
 ///
@@ -211,18 +187,6 @@ pub struct EngineConfig {
     /// forces the sequential path. Any value yields bit-identical
     /// estimates — threads only change wall time.
     pub threads: usize,
-    /// Warm-start dirty component re-solves in the
-    /// [`crate::analyst::Analyst`] session from the previous refresh's dual
-    /// vectors (`pm-solver`'s `*_from` entry points).
-    ///
-    /// `false` (the default) keeps every re-solve cold-started and therefore
-    /// **bit-identical** to a from-scratch [`Engine::estimate`] with the
-    /// same final knowledge set. `true` trades that for speed: the warm
-    /// solve converges to the same optimum within
-    /// [`EngineConfig::tolerance`], but along a different path, so low-order
-    /// bits differ. One-shot `Engine::estimate` calls are unaffected either
-    /// way (a fresh session has no duals to warm from).
-    pub warm_start: bool,
 }
 
 impl Default for EngineConfig {
@@ -240,7 +204,6 @@ impl Default for EngineConfig {
             // exact-zero tolerance would mis-report them as failures.
             residual_limit: 1e-2,
             threads: 0,
-            warm_start: false,
         }
     }
 }
@@ -301,12 +264,6 @@ impl EngineConfigBuilder {
     /// Sets [`EngineConfig::threads`].
     pub fn threads(mut self, threads: usize) -> Self {
         self.config.threads = threads;
-        self
-    }
-
-    /// Sets [`EngineConfig::warm_start`].
-    pub fn warm_start(mut self, warm_start: bool) -> Self {
-        self.config.warm_start = warm_start;
         self
     }
 
@@ -571,7 +528,8 @@ impl Engine {
     /// preprocessing, cold-started solves, merge order) is identical to the
     /// pre-session engine, so results are bit-for-bit unchanged — and
     /// bit-identical to an incremental session arriving at the same
-    /// knowledge set with [`EngineConfig::warm_start`] off.
+    /// knowledge set: every solve is cold-started, so an estimate depends
+    /// on its knowledge set alone, not on the refreshes that led to it.
     pub fn estimate(
         &self,
         table: &PublishedTable,
@@ -609,16 +567,12 @@ impl Engine {
 pub(crate) struct SolveScratch {
     /// Local start offset of each component bucket's term range.
     concat_start: Vec<usize>,
-    /// Global constraint index of each local row.
-    row_ids: Vec<usize>,
     /// Flat local rows: concatenated coefficients…
     coeffs: Vec<(usize, f64)>,
     /// …prefix-sum row bounds (`len = rows + 1`)…
     bounds: Vec<usize>,
     /// …and count-space targets.
     rhs: Vec<f64>,
-    /// Dual seeds aligned with the local rows (warm starts).
-    seed: Vec<f64>,
     /// Crossover (stage 2) pinned-system buffers.
     pin_coeffs: Vec<(usize, f64)>,
     pin_bounds: Vec<usize>,
@@ -635,36 +589,24 @@ pub(crate) struct SolveScratch {
 /// local system in every epoch — the foundation of the session engine's
 /// reuse guarantee. The caller divides by `N` when assembling an estimate.
 ///
-/// `warm` maps a global constraint index to a dual seed (the session's dual
-/// cache); `None` cold-starts from the origin, which is the bit-stable
-/// path. `scratch` is cleared before use, so a reused scratch and a fresh
-/// one produce identical results — only allocation traffic differs.
+/// Every solve cold-starts from the dual origin, so the result is a
+/// function of the component's constraint system alone. `scratch` is
+/// cleared before use, so a reused scratch and a fresh one produce
+/// identical results — only allocation traffic differs.
 pub(crate) fn solve_component(
     config: &EngineConfig,
     table: &PublishedTable,
     index: &TermIndex,
     rows: RowSet<'_>,
     comp: &Component,
-    warm: Option<&(dyn Fn(usize) -> f64 + Sync)>,
     scratch: &mut SolveScratch,
 ) -> Result<ComponentSolution, PmError> {
-    let SolveScratch {
-        concat_start,
-        row_ids,
-        coeffs,
-        bounds,
-        rhs,
-        seed,
-        pin_coeffs,
-        pin_bounds,
-        pin_rhs,
-    } = scratch;
+    let SolveScratch { concat_start, coeffs, bounds, rhs, pin_coeffs, pin_bounds, pin_rhs } =
+        scratch;
     concat_start.clear();
-    row_ids.clear();
     coeffs.clear();
     bounds.clear();
     rhs.clear();
-    seed.clear();
 
     // Local term space: concatenation of the component buckets' ranges.
     // `concat_start[i]` is where comp.buckets[i]'s range begins locally.
@@ -692,46 +634,32 @@ pub(crate) fn solve_component(
     bounds.push(0);
     for (i, &b) in comp.buckets.iter().enumerate() {
         let start = concat_start[i];
-        for (k, c) in rows.bucket_rows[b].iter().enumerate() {
-            row_ids.push(rows.row_offsets[b] + k);
+        for c in rows.bucket_rows[b].iter() {
             coeffs.extend(c.coeffs.iter().map(|&(t, v)| (start + t, v)));
             bounds.push(coeffs.len());
             rhs.push(c.rhs);
         }
     }
     for &ci in &comp.knowledge_rows {
-        let c = rows.get(ci);
-        row_ids.push(ci);
+        let c = rows.knowledge_row(ci);
         coeffs.extend(c.coeffs.iter().map(|&(t, v)| (local_of(t), v)));
         bounds.push(coeffs.len());
         rhs.push(c.rhs);
     }
-    let num_rows = rhs.len();
     let local = FlatRows { coeffs, bounds, rhs };
-
-    // Dual seeds aligned with the local rows (zeros when cold).
-    let seed: Option<&[f64]> = match warm {
-        Some(w) => {
-            seed.extend(row_ids.iter().map(|&ci| w(ci)));
-            Some(seed.as_slice())
-        }
-        None => None,
-    };
-    let warm_seeded = seed.is_some_and(|s| s.iter().any(|&v| v != 0.0));
 
     // Component record mass in counts (for GIS's slack target).
     let comp_mass: f64 =
         comp.buckets.iter().map(|&b| table.bucket(b).size() as f64).sum();
 
     // Stage 1: direct solve.
-    let attempt = solve_constraints(config, local, n_local, comp_mass, seed)?;
+    let attempt = solve_constraints(config, local, n_local, comp_mass)?;
     let SolvedSystem {
         values: mut best_values,
         stats: mut best_stats,
         residual: mut best_residual,
         num_constraints: nc,
         num_free_terms: nf,
-        duals: mut best_duals,
     } = attempt;
 
     // Stage 2 (active-set crossover): boundary optima — terms forced to
@@ -764,23 +692,12 @@ pub(crate) fn solve_component(
                 break;
             }
             let pinned = FlatRows { coeffs: pin_coeffs, bounds: pin_bounds, rhs: pin_rhs };
-            let r2 = solve_constraints(config, pinned, n_local, comp_mass, seed);
-            if std::env::var("PM_DEBUG").is_ok() {
-                match &r2 {
-                    Ok(s) => eprintln!(
-                        "crossover round: residual {:.3e} nc={} nf={} (best {best_residual:.3e})",
-                        s.residual, s.num_constraints, s.num_free_terms
-                    ),
-                    Err(e) => eprintln!("crossover round failed: {e}"),
-                }
-            }
-            let Ok(sys2) = r2 else {
+            let Ok(sys2) = solve_constraints(config, pinned, n_local, comp_mass) else {
                 break; // over-pinned: keep the best solution so far
             };
             if sys2.residual < best_residual {
                 best_values = sys2.values;
                 best_residual = sys2.residual;
-                best_duals = sys2.duals;
                 if let Some(b) = sys2.stats {
                     match &mut best_stats {
                         Some(a) => {
@@ -808,20 +725,11 @@ pub(crate) fn solve_component(
 
     // Values stay in count space — the epoch-stable currency; estimates
     // divide by `N` at assembly.
-    // Crossover rows (appended past the local list) are pinning artefacts,
-    // not cacheable duals.
-    let duals: Vec<(usize, f64)> = best_duals
-        .into_iter()
-        .filter(|&(local, _)| local < num_rows)
-        .map(|(local, lam)| (row_ids[local], lam))
-        .collect();
     Ok(ComponentSolution {
         values: best_values,
         stats: best_stats,
         num_constraints: nc,
         num_free_terms: nf,
-        duals,
-        warm_seeded,
     })
 }
 
@@ -831,7 +739,6 @@ fn solve_constraints(
     rows: FlatRows<'_>,
     n_local: usize,
     comp_mass: f64,
-    seed: Option<&[f64]>,
 ) -> Result<SolvedSystem, PmError> {
     let reduced = preprocess_flat(rows, n_local)?;
     let nc = reduced.rows.len();
@@ -843,22 +750,13 @@ fn solve_constraints(
             residual: 0.0,
             num_constraints: nc,
             num_free_terms: 0,
-            duals: Vec::new(),
         });
     }
     let a = CsrMatrix::from_rows(nf, &reduced.rows);
     let dual = MaxEntDual::new(a, reduced.rhs.clone());
-    // Warm seeds travel by *row identity* (the surviving original
-    // constraint), so a system whose preprocessing outcome changed between
-    // refreshes still seeds each surviving row with its own prior dual.
-    let lambda0: Vec<f64> = match seed {
-        Some(s) => reduced
-            .row_origin
-            .iter()
-            .map(|&o| if o < s.len() { s[o] } else { 0.0 })
-            .collect(),
-        None => vec![0.0; dual.num_constraints()],
-    };
+    // Cold start: the solution must be a function of this system alone,
+    // so sessions, forks and thread counts all reproduce the same bits.
+    let lambda0 = vec![0.0; dual.num_constraints()];
     let (solution, primal) = match config.solver {
         SolverKind::Lbfgs => {
             let cfg = LbfgsConfig {
@@ -868,8 +766,9 @@ fn solve_constraints(
             };
             let solver = Lbfgs::new(cfg);
             let mut sol = solver.minimize(&dual, &lambda0);
-            // One warm restart (fresh curvature history) often recovers
-            // remaining digits cheaply before the crossover kicks in.
+            // One restart from the stalled iterate (fresh curvature
+            // history) often recovers remaining digits cheaply before the
+            // crossover kicks in.
             let mut p = dual.primal(&sol.x);
             if dual.residual(&p) > config.residual_limit {
                 let restart = solver.minimize(&dual, &sol.x);
@@ -889,7 +788,7 @@ fn solve_constraints(
                 tolerance: config.tolerance,
                 max_iterations: config.max_iterations,
             };
-            let sol = iis_from(&dual, &cfg, &lambda0);
+            let sol = iis(&dual, &cfg);
             let p = dual.primal(&sol.x);
             (sol, p)
         }
@@ -900,9 +799,7 @@ fn solve_constraints(
             };
             // Free mass = component record count − already-fixed mass.
             let fixed_mass: f64 = reduced.fixed.iter().map(|&(_, v)| v).sum();
-            let (sol, p) =
-                gis_with_primal_from(&dual, comp_mass - fixed_mass, &cfg, &lambda0);
-            (sol, p)
+            gis_with_primal(&dual, comp_mass - fixed_mass, &cfg)
         }
         SolverKind::GradientDescent => {
             let cfg = GradientDescentConfig {
@@ -916,19 +813,12 @@ fn solve_constraints(
         }
     };
     let residual = dual.residual(&primal);
-    let duals = reduced
-        .row_origin
-        .iter()
-        .copied()
-        .zip(solution.x.iter().copied())
-        .collect();
     Ok(SolvedSystem {
         values: reduced.expand(&primal),
         stats: Some(solution.stats),
         residual,
         num_constraints: nc,
         num_free_terms: nf,
-        duals,
     })
 }
 

@@ -184,7 +184,10 @@ pub(crate) fn encode_snapshot(artifact: &CompiledTable) -> Vec<u8> {
     cfg.u8(solver_code(config.solver));
     cfg.u8(u8::from(config.decompose));
     cfg.u8(u8::from(config.concise_invariants));
-    cfg.u8(u8::from(config.warm_start));
+    // Reserved byte, kept so the v1 layout does not move: written as 0,
+    // ignored on load (older snapshots may hold 1, the retired warm-start
+    // flag, and load the same).
+    cfg.u8(0);
     cfg.u64(config.threads as u64);
     cfg.u64(config.max_iterations as u64);
     cfg.f64(config.tolerance);
@@ -385,7 +388,7 @@ fn decode_config(s: &Section<'_>) -> Result<EngineConfig, PmError> {
     };
     let decompose = r.u8()? != 0;
     let concise = r.u8()? != 0;
-    let warm_start = r.u8()? != 0;
+    let _reserved = r.u8()?;
     let threads = r.u64()? as usize;
     let max_iterations = r.u64()? as usize;
     let tolerance = r.f64()?;
@@ -395,7 +398,6 @@ fn decode_config(s: &Section<'_>) -> Result<EngineConfig, PmError> {
         .solver(solver)
         .decompose(decompose)
         .concise_invariants(concise)
-        .warm_start(warm_start)
         .threads(threads)
         .max_iterations(max_iterations)
         .tolerance(tolerance)
@@ -1137,6 +1139,34 @@ mod tests {
         // Format stability: re-encoding the loaded artifact reproduces the
         // file byte for byte, which pins stored == lazily-derived sections.
         assert_eq!(encode_snapshot(&loaded), fs::read(&path).unwrap());
+    }
+
+    /// CONFIG's fourth byte is reserved: a snapshot holding 1 there (the
+    /// retired warm-start flag) loads with the same config and serves the
+    /// same bits as one holding 0.
+    #[test]
+    fn reserved_config_byte_is_ignored_on_load() {
+        let artifact = paper_artifact();
+        let dir = tmpdir("reserved-config-byte");
+        let path = dir.join(SNAPSHOT_FILE);
+        artifact.save(&path).unwrap();
+        let mut bytes = fs::read(&path).unwrap();
+        let unpatched = CompiledTable::load(&path).unwrap();
+
+        let config = &split_sections(&bytes).unwrap()[1];
+        let (base, len) = (config.base as usize, config.payload.len());
+        assert_eq!(bytes[base + 3], 0, "the reserved byte is written as 0");
+        bytes[base + 3] = 1;
+        let sum = checksum64(&bytes[base..base + len]);
+        bytes[base - 8..base].copy_from_slice(&sum.to_le_bytes());
+        fs::write(&path, &bytes).unwrap();
+        let patched = CompiledTable::load(&path).unwrap();
+
+        assert_eq!(format!("{:?}", patched.config()), format!("{:?}", unpatched.config()));
+        assert_eq!(
+            patched.baseline_estimate().term_values(),
+            unpatched.baseline_estimate().term_values()
+        );
     }
 
     #[test]

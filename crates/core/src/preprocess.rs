@@ -24,8 +24,6 @@ pub struct Reduced {
     pub rows: Vec<Vec<(usize, f64)>>,
     /// Surviving right-hand sides (aligned with `rows`).
     pub rhs: Vec<f64>,
-    /// Index of the original constraint each surviving row came from.
-    pub row_origin: Vec<usize>,
     /// `var_map[reduced] = original term index`.
     pub var_map: Vec<usize>,
     /// `(original term index, value)` for every eliminated term.
@@ -61,8 +59,7 @@ impl Reduced {
 /// per-component scratch arena assembles — rows stay contiguous per
 /// component, no per-row `Vec` allocations — and [`preprocess_flat`]
 /// consumes it directly. Origins are deliberately absent: preprocessing
-/// only reads coefficients and targets; callers track row identity by
-/// position (`Reduced::row_origin`).
+/// only reads coefficients and targets.
 #[derive(Debug, Clone, Copy)]
 pub struct FlatRows<'a> {
     /// Concatenated `(term, coefficient)` pairs of every row.
@@ -97,7 +94,7 @@ pub fn preprocess(constraints: &[Constraint], n_terms: usize) -> Result<Reduced,
 
 /// [`preprocess`] over a flat CSR-style system — the engine's hot path
 /// (per-component rows assembled contiguously in a reusable scratch
-/// arena). Row indices in `Reduced::row_origin` are positions in `system`.
+/// arena).
 pub fn preprocess_flat(system: FlatRows<'_>, n_terms: usize) -> Result<Reduced, CoreError> {
     let rows: Vec<Vec<(usize, f64)>> =
         (0..system.num_rows()).map(|r| system.row(r).to_vec()).collect();
@@ -234,7 +231,6 @@ fn run_fixpoint(
     }
     let mut out_rows = Vec::new();
     let mut out_rhs = Vec::new();
-    let mut row_origin = Vec::new();
     for i in 0..rows.len() {
         if !alive[i] {
             continue;
@@ -246,13 +242,11 @@ fn run_fixpoint(
         debug_assert!(row.iter().all(|&(t, _)| t != usize::MAX));
         out_rows.push(row);
         out_rhs.push(rhs[i]);
-        row_origin.push(i);
     }
 
     Ok(Reduced {
         rows: out_rows,
         rhs: out_rhs,
-        row_origin,
         var_map,
         fixed: fixed
             .iter()
@@ -329,7 +323,7 @@ mod tests {
     }
 
     /// The flat CSR-style entry point is the same fixpoint: identical
-    /// `Reduced` (rows, rhs, origins, fixed terms) for the same system.
+    /// `Reduced` (rows, rhs, variable map, fixed terms) for the same system.
     #[test]
     fn flat_entry_point_matches_slice_entry_point() {
         let cs = vec![
@@ -352,7 +346,6 @@ mod tests {
         let b = preprocess_flat(flat, 4).unwrap();
         assert_eq!(a.rows, b.rows);
         assert_eq!(a.rhs, b.rhs);
-        assert_eq!(a.row_origin, b.row_origin);
         assert_eq!(a.var_map, b.var_map);
         assert_eq!(a.fixed, b.fixed);
     }
@@ -366,7 +359,6 @@ mod tests {
         let r = preprocess(&cs, 3).unwrap();
         assert_eq!(r.num_free(), 3);
         assert_eq!(r.rows.len(), 2);
-        assert_eq!(r.row_origin, vec![0, 1]);
         assert!(r.fixed.is_empty());
     }
 }

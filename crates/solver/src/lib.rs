@@ -21,23 +21,20 @@
 //! evaluations, wall time) because Figure 7 of the paper plots exactly those
 //! quantities.
 //!
-//! # Warm starts
+//! # Cold starts
 //!
-//! Every solver can resume from an arbitrary dual point, which is what the
-//! incremental `Analyst` session in `privacy-maxent` feeds with the
-//! previous refresh's multipliers:
+//! The engine in `privacy-maxent` solves every component from the dual
+//! origin — cold-started, bit-identical — so a solution's bits are a
+//! function of its constraint system alone, never of what was solved
+//! before. The start point still shapes the path (and hence the low-order
+//! bits of the iterate a solver stops at), which is why no earlier solve's
+//! multipliers are fed back in:
 //!
-//! * [`Lbfgs::minimize`] and [`gradient::gradient_descent`] take the start
-//!   point `x0` directly — pass the cached dual instead of zeros.
-//! * The iterative-scaling solvers historically hard-coded the origin;
-//!   [`scaling::gis_from`], [`scaling::gis_with_primal_from`] and
-//!   [`scaling::iis_from`] are their warm-start entry points (the zero-seed
-//!   [`scaling::gis`] / [`scaling::iis`] wrappers delegate to them).
-//!
-//! A warm start never changes the optimum (the dual is convex); it only
-//! changes the path — and therefore the low-order bits of the iterate the
-//! solver stops at. Callers that promise bit-identical re-solves must seed
-//! from zero.
+//! * [`scaling::gis`], [`scaling::gis_with_primal`] and [`scaling::iis`]
+//!   always start from zero.
+//! * [`Lbfgs::minimize`] and [`gradient::gradient_descent`] take their
+//!   start point `x0`; the engine passes zeros, and restarts L-BFGS once
+//!   from its own stalled iterate within the same solve.
 
 pub mod gradient;
 pub mod lbfgs;

@@ -50,24 +50,6 @@ fn check_nonnegative(a: &CsrMatrix) {
 /// sum for a decomposed component). It determines the slack feature's
 /// target.
 pub fn gis(dual: &MaxEntDual, total_mass: f64, cfg: &ScalingConfig) -> Solution {
-    gis_from(dual, total_mass, cfg, &vec![0.0; dual.num_constraints()])
-}
-
-/// [`gis`] warm-started from the dual point `lambda0` instead of the
-/// origin — the incremental-session entry point: re-solving a component
-/// whose constraint system changed only slightly converges in far fewer
-/// scaling passes when seeded with the previous refresh's multipliers.
-/// (The internal slack multiplier always restarts at zero; it is recovered
-/// in one bisection by [`gis_with_primal_from`].)
-///
-/// # Panics
-/// Panics if `lambda0.len() != dual.num_constraints()`.
-pub fn gis_from(
-    dual: &MaxEntDual,
-    total_mass: f64,
-    cfg: &ScalingConfig,
-    lambda0: &[f64],
-) -> Solution {
     let a = dual.matrix();
     check_nonnegative(a);
     let start = Instant::now(); // pm-audit: allow(determinism, reason = "wall-clock telemetry only: feeds solve/build duration stats, never the estimate bytes")
@@ -110,8 +92,7 @@ pub fn gis_from(
         };
     }
 
-    assert_eq!(lambda0.len(), w, "warm-start dual dimension mismatch");
-    let mut lambda = lambda0.to_vec();
+    let mut lambda = vec![0.0; w];
     let mut lambda_slack = 0.0f64;
     let mut fn_evals = 0usize;
     let mut stop = StopReason::MaxIterations;
@@ -186,22 +167,11 @@ pub fn gis_with_primal(
     total_mass: f64,
     cfg: &ScalingConfig,
 ) -> (Solution, Vec<f64>) {
-    gis_with_primal_from(dual, total_mass, cfg, &vec![0.0; dual.num_constraints()])
-}
-
-/// [`gis_with_primal`] warm-started from the dual point `lambda0` (see
-/// [`gis_from`]).
-pub fn gis_with_primal_from(
-    dual: &MaxEntDual,
-    total_mass: f64,
-    cfg: &ScalingConfig,
-    lambda0: &[f64],
-) -> (Solution, Vec<f64>) {
     // GIS's slack multiplier is internal, so recompute the primal by
     // rerunning; to avoid duplicated logic we simply run once and rebuild p
     // from the stored λ plus a recomputed slack pass. For simplicity and
     // correctness we run the full iteration again capturing p.
-    let sol = gis_from(dual, total_mass, cfg, lambda0);
+    let sol = gis(dual, total_mass, cfg);
     // Rebuild p with a single extra fixed-point pass over the slack feature:
     let a = dual.matrix();
     let n = a.ncols();
@@ -248,15 +218,6 @@ pub fn gis_with_primal_from(
 
 /// Improved Iterative Scaling.
 pub fn iis(dual: &MaxEntDual, cfg: &ScalingConfig) -> Solution {
-    iis_from(dual, cfg, &vec![0.0; dual.num_constraints()])
-}
-
-/// [`iis`] warm-started from the dual point `lambda0` instead of the
-/// origin — the incremental-session entry point (see [`gis_from`]).
-///
-/// # Panics
-/// Panics if `lambda0.len() != dual.num_constraints()`.
-pub fn iis_from(dual: &MaxEntDual, cfg: &ScalingConfig, lambda0: &[f64]) -> Solution {
     let a = dual.matrix();
     check_nonnegative(a);
     let start = Instant::now(); // pm-audit: allow(determinism, reason = "wall-clock telemetry only: feeds solve/build duration stats, never the estimate bytes")
@@ -275,8 +236,7 @@ pub fn iis_from(dual: &MaxEntDual, cfg: &ScalingConfig, lambda0: &[f64]) -> Solu
         "every term must appear in at least one constraint"
     );
 
-    assert_eq!(lambda0.len(), w, "warm-start dual dimension mismatch");
-    let mut lambda = lambda0.to_vec();
+    let mut lambda = vec![0.0; w];
     let mut fn_evals = 0usize;
     let mut stop = StopReason::MaxIterations;
     let mut iterations = 0usize;
@@ -431,44 +391,6 @@ mod tests {
             assert!((p_lb[i] - p_ii[i]).abs() < 1e-6, "lbfgs {p_lb:?} vs iis {p_ii:?}");
             assert!((p_lb[i] - p_gis[i]).abs() < 1e-6, "lbfgs {p_lb:?} vs gis {p_gis:?}");
         }
-    }
-
-    /// Warm-starting from an already-converged dual point is a no-op-cheap
-    /// restart: both scaling solvers accept the seed and converge in (far)
-    /// fewer iterations than the cold run, to the same primal.
-    #[test]
-    fn warm_start_resumes_from_previous_dual() {
-        let dual = independence_dual();
-        let cfg = ScalingConfig::default();
-        let cold = iis(&dual, &cfg);
-        assert!(cold.stats.converged());
-        let warm = iis_from(&dual, &cfg, &cold.x);
-        assert!(warm.stats.converged());
-        assert!(
-            warm.stats.iterations <= 1,
-            "warm IIS restart took {} iterations",
-            warm.stats.iterations
-        );
-        let (cold_gis, p_cold) = gis_with_primal(&dual, 1.0, &cfg);
-        assert!(cold_gis.stats.converged());
-        let (warm_gis, p_warm) = gis_with_primal_from(&dual, 1.0, &cfg, &cold_gis.x);
-        assert!(warm_gis.stats.converged());
-        assert!(
-            warm_gis.stats.iterations < cold_gis.stats.iterations,
-            "warm GIS ({}) should beat cold GIS ({})",
-            warm_gis.stats.iterations,
-            cold_gis.stats.iterations
-        );
-        for (a, b) in p_cold.iter().zip(&p_warm) {
-            assert!((a - b).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "warm-start dual dimension mismatch")]
-    fn warm_start_dimension_checked() {
-        let dual = independence_dual();
-        iis_from(&dual, &ScalingConfig::default(), &[0.0; 2]);
     }
 
     #[test]

@@ -175,14 +175,13 @@
 //! Section 5.5 decomposes the constraint system into independent bucket
 //! connected components; a knowledge delta can only change the optimum of
 //! components its bucket footprint touches, so `refresh` re-solves those
-//! and reuses the rest. With the default configuration every re-solve is
-//! cold-started, making any interleaving of deltas — on a session or any
-//! tree of its forks — **bit-identical** to a from-scratch
-//! `Engine::estimate` holding the same final knowledge set, for every
-//! thread count ([`EngineConfig`](maxent::engine::EngineConfig)`::threads`
-//! only changes wall time). Setting `warm_start` seeds each re-solve from
-//! the previous refresh's dual vectors instead — faster convergence, same
-//! optimum within tolerance, but not bit-replayable.
+//! and reuses the rest. Every re-solve is cold-started, bit-identical:
+//! any interleaving of deltas — on a session or any tree of its forks —
+//! yields the same bits as a from-scratch `Engine::estimate` holding the
+//! same final knowledge set, for every thread count
+//! ([`EngineConfig`](maxent::engine::EngineConfig)`::threads` only changes
+//! wall time). No solve is seeded from an earlier one, so an answer's bits
+//! depend on the knowledge set alone, never on the refresh history.
 //!
 //! At Adult scale (14,210 records, 2,842 buckets, 300 arity-4 rules) the
 //! one-time compile costs ~10 ms while `Analyst::open` over the shared
@@ -200,7 +199,7 @@
 //! | [`pm_anonymize`] | Anatomy / Mondrian bucketizers, pseudonyms, `D'` |
 //! | [`pm_assoc`] | Top-(K+, K−) association-rule mining |
 //! | [`pm_linalg`] | dense + CSR sparse kernels |
-//! | [`pm_solver`] | GIS/IIS, gradient, L-BFGS maxent solvers (warm-startable) |
+//! | [`pm_solver`] | GIS/IIS, gradient, L-BFGS maxent solvers (cold-started, bit-identical) |
 //! | [`pm_parallel`] | scoped work-stealing executor with per-worker scratch state, broadcast |
 //! | [`privacy_maxent`] | invariants, knowledge compilation, `CompiledTable` artifact, `Analyst` sessions |
 //! | [`pm_datagen`] | Adult-census-like and synthetic generators |

@@ -162,32 +162,3 @@ fn deltas_resolve_strict_subsets_at_scale() {
         assert_bit_identical(&analyst, &scratch, "at-scale delta");
     }
 }
-
-/// Warm-started sessions (`EngineConfig::warm_start`) follow a different
-/// solver path — same optimum within tolerance, explicitly not bitwise.
-#[test]
-fn warm_start_matches_within_tolerance_at_scale() {
-    let (table, items) = workload(700, 7, 30);
-    let (head, tail) = items.split_at(items.len() - 2);
-    let mut cold = Analyst::new(table.clone(), config(1)).unwrap();
-    let mut warm = Analyst::new(
-        table,
-        EngineConfig::builder().threads(1).residual_limit(f64::INFINITY).warm_start(true).build(),
-    )
-    .unwrap();
-    for analyst in [&mut cold, &mut warm] {
-        analyst.add_knowledge_batch(head).unwrap();
-        analyst.refresh().unwrap();
-        for delta in tail {
-            let _ = analyst.add_knowledge(delta.clone()).unwrap();
-            analyst.refresh().unwrap();
-        }
-    }
-    let max_delta = cold
-        .estimate()
-        .term_values()
-        .iter()
-        .zip(warm.estimate().term_values())
-        .fold(0.0f64, |m, (a, b)| m.max((a - b).abs()));
-    assert!(max_delta < 1e-6, "warm path deviated by {max_delta}");
-}

@@ -16,10 +16,7 @@ fn bench(c: &mut Criterion) {
         let label = if decompose { "decomposed" } else { "joint" };
         group.bench_with_input(BenchmarkId::from_parameter(label), &decompose, |b, &d| {
             b.iter(|| {
-                let cfg = EngineConfig::builder()
-                    .decompose(d)
-                    .residual_limit(f64::INFINITY)
-                    .build();
+                let cfg = EngineConfig::builder().decompose(d).build();
                 Engine::new(cfg).estimate(&exp.table, &kb).unwrap()
             })
         });

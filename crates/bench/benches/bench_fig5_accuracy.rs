@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pm_bench::pipeline::{prepare, Scale};
-use privacy_maxent::engine::{Engine, EngineConfig};
+use privacy_maxent::engine::Engine;
 use privacy_maxent::knowledge::KnowledgeBase;
 use privacy_maxent::metrics::estimation_accuracy;
 
@@ -16,9 +16,7 @@ fn bench(c: &mut Criterion) {
         let kb = KnowledgeBase::from_rules(picked.iter().copied(), exp.data.schema()).unwrap();
         group.bench_with_input(BenchmarkId::from_parameter(k), &kb, |b, kb| {
             b.iter(|| {
-                let cfg =
-                    EngineConfig::builder().residual_limit(f64::INFINITY).build();
-                let est = Engine::new(cfg).estimate(&exp.table, kb).unwrap();
+                let est = Engine::default().estimate(&exp.table, kb).unwrap();
                 estimation_accuracy(&exp.truth, &est)
             })
         });

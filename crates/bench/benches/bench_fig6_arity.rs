@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pm_assoc::miner::{MinerConfig, RuleMiner};
 use pm_bench::pipeline::{prepare, Scale};
-use privacy_maxent::engine::{Engine, EngineConfig};
+use privacy_maxent::engine::Engine;
 use privacy_maxent::knowledge::KnowledgeBase;
 
 fn bench(c: &mut Criterion) {
@@ -17,11 +17,7 @@ fn bench(c: &mut Criterion) {
         let picked = rules.top_k(100, 100);
         let kb = KnowledgeBase::from_rules(picked.iter().copied(), exp.data.schema()).unwrap();
         group.bench_with_input(BenchmarkId::from_parameter(t), &kb, |b, kb| {
-            b.iter(|| {
-                let cfg =
-                    EngineConfig::builder().residual_limit(f64::INFINITY).build();
-                Engine::new(cfg).estimate(&exp.table, kb).unwrap()
-            })
+            b.iter(|| Engine::default().estimate(&exp.table, kb).unwrap())
         });
     }
     group.finish();

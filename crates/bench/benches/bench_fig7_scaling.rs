@@ -10,11 +10,7 @@ use privacy_maxent::engine::{Engine, EngineConfig};
 use privacy_maxent::knowledge::KnowledgeBase;
 
 fn perf_config() -> EngineConfig {
-    EngineConfig::builder()
-        .decompose(false)
-        .tolerance(1e-4)
-        .residual_limit(f64::INFINITY)
-        .build()
+    EngineConfig::builder().decompose(false).tolerance(1e-4).build()
 }
 
 fn vs_knowledge(c: &mut Criterion) {

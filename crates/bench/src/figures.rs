@@ -41,11 +41,7 @@ pub struct Curve {
 /// systems then terminate inside the iteration budget instead of polishing
 /// digits the timing axis cannot show.
 fn perf_config() -> EngineConfig {
-    EngineConfig::builder()
-        .decompose(false)
-        .tolerance(1e-4)
-        .residual_limit(f64::INFINITY)
-        .build()
+    EngineConfig::builder().decompose(false).tolerance(1e-4).build()
 }
 
 fn k_grid(scale: Scale) -> Vec<usize> {

@@ -164,6 +164,27 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// What [`parse`] says when no data source is given.
+const NO_SOURCE: &str = "one of --input FILE or --synthetic KIND:N is required";
+
+/// The check `session`, `serve` and `loadgen` share when they run without
+/// a data source yet flags are left over for [`parse`]. `parse` names an
+/// unknown flag or a bad value before it misses the source; a line of
+/// real base flags is refused for want of the source they configure
+/// (`why` completes that message).
+fn reject_sourceless(base_argv: &[String], why: &str) -> Result<(), ParseError> {
+    let Some(flag) = base_argv.first() else { return Ok(()) };
+    match parse(base_argv) {
+        Err(e) if e.0 != NO_SOURCE => Err(e),
+        _ => Err(ParseError(format!("{flag} requires a data source{why}"))),
+    }
+}
+
+/// Completes the sourceless-flag message of the front-ends that can open a
+/// persisted artifact instead of a data source.
+const FROM_ARTIFACT: &str =
+    "; without --input/--synthetic the engine config comes from the persisted artifact";
+
 /// Parses `pmx quantify` arguments.
 pub fn parse(argv: &[String]) -> Result<Options, ParseError> {
     let mut source: Option<Source> = None;
@@ -238,9 +259,7 @@ pub fn parse(argv: &[String]) -> Result<Options, ParseError> {
             other => return Err(ParseError(format!("unknown flag `{other}`"))),
         }
     }
-    let source = source.ok_or_else(|| {
-        ParseError("one of --input FILE or --synthetic KIND:N is required".into())
-    })?;
+    let source = source.ok_or_else(|| ParseError(NO_SOURCE.into()))?;
     if ell == 0 || arity == 0 {
         return Err(ParseError("--ell and --arity must be positive".into()));
     }
@@ -327,12 +346,7 @@ pub fn parse_session(argv: &[String]) -> Result<SessionOptions, ParseError> {
     let base = if has_source {
         Some(parse(&base_argv)?)
     } else if artifact.is_some() || persist.is_some() {
-        if let Some(stray) = base_argv.first() {
-            return Err(ParseError(format!(
-                "{stray} requires a data source; without --input/--synthetic the \
-                 engine config comes from the persisted artifact"
-            )));
-        }
+        reject_sourceless(&base_argv, FROM_ARTIFACT)?;
         None
     } else {
         // No source and nothing persisted: surface the standard error.
@@ -420,12 +434,7 @@ pub fn parse_serve(argv: &[String]) -> Result<ServeOptions, ParseError> {
     let base = if has_source {
         Some(parse(&base_argv)?)
     } else if artifact.is_some() || persist.is_some() {
-        if let Some(stray) = base_argv.first() {
-            return Err(ParseError(format!(
-                "{stray} requires a data source; without --input/--synthetic the \
-                 engine config comes from the persisted artifact"
-            )));
-        }
+        reject_sourceless(&base_argv, FROM_ARTIFACT)?;
         None
     } else {
         Some(parse(&base_argv)?)
@@ -498,12 +507,9 @@ pub fn parse_loadgen(argv: &[String]) -> Result<LoadgenArgs, ParseError> {
     let has_source = base_argv.iter().any(|f| f == "--input" || f == "--synthetic");
     let base = if has_source {
         Some(parse(&base_argv)?)
-    } else if let Some(stray) = base_argv.first() {
-        return Err(ParseError(format!(
-            "{stray} requires a data source (--input/--synthetic) to mine the \
-             knowledge pool from"
-        )));
     } else {
+        let why = " (--input/--synthetic) to mine the knowledge pool from";
+        reject_sourceless(&base_argv, why)?;
         None
     };
     Ok(LoadgenArgs { addr, base, rules, tenants, phases, batches, batch, samples, seed, idle, rounds })
@@ -539,6 +545,10 @@ mod tests {
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
+    }
+
+    fn message<T: std::fmt::Debug>(parsed: Result<T, ParseError>) -> String {
+        parsed.unwrap_err().0
     }
 
     #[test]
@@ -676,7 +686,12 @@ mod tests {
         assert!(parse_serve(&argv("--synthetic adult:100 --bounds 0,10")).is_err());
         assert!(parse_serve(&argv("--synthetic adult:100 --script x")).is_err());
         assert!(parse_serve(&argv("--synthetic adult:100 --max-tenants 0")).is_err());
-        assert!(parse_serve(&argv("--artifact a.pmx --threads 2")).is_err());
+        assert!(message(parse_serve(&argv("--artifact a.pmx --threads 2")))
+            .starts_with("--threads requires a data source;"));
+        assert_eq!(
+            message(parse_serve(&argv("--persist d --frobnicate 1"))),
+            "unknown flag `--frobnicate`"
+        );
         assert!(parse_serve(&argv("")).is_err(), "no source, nothing persisted");
     }
 
@@ -710,9 +725,11 @@ mod tests {
         assert!(parse_loadgen(&argv("")).is_err(), "--addr is required");
         assert!(parse_loadgen(&argv("--addr x --tenants 0")).is_err());
         assert!(
-            parse_loadgen(&argv("--addr x --ell 5")).is_err(),
+            message(parse_loadgen(&argv("--addr x --ell 5")))
+                .starts_with("--ell requires a data source (--input/--synthetic)"),
             "engine flags need a source"
         );
+        assert_eq!(message(parse_loadgen(&argv("--addr x --bogus"))), "unknown flag `--bogus`");
     }
 
     #[test]
@@ -751,8 +768,13 @@ mod tests {
             "mutually exclusive"
         );
         assert!(
-            parse_session(&argv("--artifact a.pmx --threads 2")).is_err(),
+            message(parse_session(&argv("--artifact a.pmx --threads 2")))
+                .starts_with("--threads requires a data source;"),
             "engine flags need a source"
+        );
+        assert_eq!(
+            message(parse_session(&argv("--artifact x.pmx --bogus"))),
+            "unknown flag `--bogus`"
         );
     }
 }

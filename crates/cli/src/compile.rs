@@ -18,14 +18,16 @@ use privacy_maxent::engine::EngineConfig;
 use crate::args::{CompileOptions, Options};
 use crate::quantify;
 
-/// Loads the microdata, publishes it and compiles the artifact — the
-/// shared front half of `pmx compile` and `pmx session`.
+/// Loads the microdata, publishes it and compiles the artifact under the
+/// library's default engine config (and its accuracy contract) with
+/// `--threads` applied — the shared front half of `pmx compile`,
+/// `pmx session` and `pmx serve`.
 pub(crate) fn build_artifact(
     options: &Options,
-    config: EngineConfig,
 ) -> Result<(Dataset, Arc<CompiledTable>), Box<dyn Error>> {
     let data = quantify::load_source(options)?;
     let table = quantify::publish(&data, options)?;
+    let config = EngineConfig::builder().threads(options.threads).build();
     let artifact = Arc::new(CompiledTable::build(table, config)?);
     println!("{}", artifact.stats());
     Ok((data, artifact))
@@ -35,11 +37,7 @@ pub(crate) fn build_artifact(
 /// optionally saving it as a versioned snapshot (`--out`) that
 /// `pmx session --artifact` / `--persist` reopens without recompiling.
 pub fn run(options: &CompileOptions) -> Result<(), Box<dyn Error>> {
-    let config = EngineConfig::builder()
-        .residual_limit(f64::INFINITY)
-        .threads(options.base.threads)
-        .build();
-    let (_, artifact) = build_artifact(&options.base, config)?;
+    let (_, artifact) = build_artifact(&options.base)?;
     println!(
         "baseline max disclosure (no background knowledge): {:.4}",
         privacy_maxent::metrics::max_disclosure(&artifact.baseline_estimate())

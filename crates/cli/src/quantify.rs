@@ -105,10 +105,7 @@ pub fn run(options: &Options) -> Result<(), Box<dyn Error>> {
         &rules,
         &bounds,
         Some(&truth),
-        &EngineConfig::builder()
-            .residual_limit(f64::INFINITY)
-            .threads(options.threads)
-            .build(),
+        &EngineConfig::builder().threads(options.threads).build(),
     )?;
     println!("privacy report — one row per assumed Top-(K+, K-) knowledge bound:");
     print!("{report}");

@@ -22,7 +22,6 @@ use pm_serve::protocol::WireKnowledge;
 use pm_serve::registry::{Limits, Registry};
 use pm_serve::server::{Backend, Server};
 use privacy_maxent::compiled::CompiledTable;
-use privacy_maxent::engine::EngineConfig;
 use privacy_maxent::knowledge::Knowledge;
 use privacy_maxent::persist::{recover, EpochWal, SNAPSHOT_FILE};
 
@@ -62,22 +61,15 @@ fn resolve_artifact(
             )
         })?;
         std::fs::create_dir_all(dir_path)?;
-        let (_, artifact) = compile::build_artifact(base, config_for(base))?;
+        let (_, artifact) = compile::build_artifact(base)?;
         let bytes = artifact.save(dir_path.join(SNAPSHOT_FILE))?;
         let wal = EpochWal::create(dir_path, artifact.epoch())?;
         println!("initialised {dir}: {bytes}-byte snapshot + empty WAL");
         return Ok((artifact, Some(wal)));
     }
     let base = options.base.as_ref().expect("parser requires a source when nothing persists");
-    let (_, artifact) = compile::build_artifact(base, config_for(base))?;
+    let (_, artifact) = compile::build_artifact(base)?;
     Ok((artifact, None))
-}
-
-fn config_for(base: &Options) -> EngineConfig {
-    EngineConfig::builder()
-        .residual_limit(f64::INFINITY)
-        .threads(base.threads)
-        .build()
 }
 
 /// Builds the registry and binds the server — shared by [`run`] and any
@@ -206,4 +198,45 @@ pub fn run_loadgen(args: &LoadgenArgs) -> Result<(), Box<dyn Error>> {
         report.knowledge_ops, report.refreshes, report.deltas,
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::args::parse_serve;
+    use pm_serve::client::{Client, ClientError};
+    use pm_serve::protocol::ErrorCode;
+
+    /// The accuracy contract over the wire: a refresh whose component
+    /// misses the residual limit is answered `Infeasible` with the cause in
+    /// its detail, and the tenant keeps serving its previous bits.
+    #[test]
+    fn refresh_over_the_residual_limit_is_infeasible_over_the_wire() {
+        let argv: Vec<String> =
+            "--synthetic medical:600 --ell 5 --exempt 2 --seed 3 --addr 127.0.0.1:0"
+                .split_whitespace()
+                .map(String::from)
+                .collect();
+        let mut server = start(&parse_serve(&argv).unwrap()).unwrap();
+        let mut client = Client::connect(server.addr(), "tenant").unwrap();
+        let hello = client.hello();
+        let queries: Vec<(u32, u16)> = (0..hello.distinct_qi as u32)
+            .flat_map(|q| (0..hello.sa_cardinality as u16).map(move |s| (q, s)))
+            .collect();
+        let bits = |ps: Vec<f64>| ps.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        let before = bits(client.batch(queries.clone()).unwrap());
+
+        // P(s=1 | attr0=0) = 0.5: L-BFGS stops far outside the contract.
+        let item = WireKnowledge { antecedent: vec![(0, 0)], sa: 1, probability: 0.5 };
+        client.add_knowledge(vec![item]).unwrap();
+        match client.refresh() {
+            Err(ClientError::Server { code, detail }) => {
+                assert_eq!(code, ErrorCode::Infeasible.code(), "{detail}");
+                assert!(detail.contains("solver failed to converge (residual"), "{detail}");
+            }
+            other => panic!("expected an Infeasible refresh, got {other:?}"),
+        }
+        assert_eq!(bits(client.batch(queries).unwrap()), before);
+        server.shutdown();
+    }
 }

@@ -51,12 +51,12 @@ use pm_microdata::dataset::Dataset;
 use pm_microdata::value::Value;
 use privacy_maxent::analyst::{Analyst, KnowledgeHandle};
 use privacy_maxent::delta::TableDelta;
-use privacy_maxent::engine::EngineConfig;
+use privacy_maxent::error::PmError;
 use privacy_maxent::knowledge::Knowledge;
 use privacy_maxent::persist::{recover, EpochWal, SNAPSHOT_FILE};
 use privacy_maxent::CompiledTable;
 
-use crate::args::{Options, SessionOptions};
+use crate::args::SessionOptions;
 use crate::compile;
 use crate::quantify;
 
@@ -110,12 +110,6 @@ type OpenedArtifact = (Analyst, Option<Dataset>, Option<EpochWal>);
 /// from a read-only snapshot, or recovered from (or initialised into) a
 /// durable snapshot + WAL directory.
 fn open_analyst(options: &SessionOptions) -> Result<OpenedArtifact, Box<dyn Error>> {
-    let config_for = |base: &Options| {
-        EngineConfig::builder()
-            .residual_limit(f64::INFINITY)
-            .threads(base.threads)
-            .build()
-    };
     if let Some(path) = &options.artifact {
         let artifact = CompiledTable::load(path)?;
         println!("loaded snapshot {path}: {}", artifact.stats());
@@ -145,7 +139,7 @@ fn open_analyst(options: &SessionOptions) -> Result<OpenedArtifact, Box<dyn Erro
             )
         })?;
         std::fs::create_dir_all(dir_path)?;
-        let (data, artifact) = compile::build_artifact(base, config_for(base))?;
+        let (data, artifact) = compile::build_artifact(base)?;
         let bytes = artifact.save(dir_path.join(SNAPSHOT_FILE))?;
         let wal = EpochWal::create(dir_path, artifact.epoch())?;
         println!("initialised {dir}: {bytes}-byte snapshot + empty WAL");
@@ -154,7 +148,7 @@ fn open_analyst(options: &SessionOptions) -> Result<OpenedArtifact, Box<dyn Erro
     let base = options.base.as_ref().expect("parser requires a source when nothing persists");
     // Compile once (the same artifact build `pmx compile` runs); the
     // session — and every `reset` — opens from it in O(1).
-    let (data, artifact) = compile::build_artifact(base, config_for(base))?;
+    let (data, artifact) = compile::build_artifact(base)?;
     Ok((Analyst::open(artifact), Some(data), None))
 }
 
@@ -212,7 +206,14 @@ impl Session {
             }
             match self.execute(line) {
                 Ok(msg) => writeln!(out, "{msg}")?,
-                Err(e) => writeln!(out, "error: {e}")?,
+                // A wrapper (a component that failed to re-solve) also
+                // names its root cause, e.g. the residual that missed.
+                Err(e) => match e.downcast_ref::<PmError>() {
+                    Some(pm) if !std::ptr::eq(pm.root_cause(), pm) => {
+                        writeln!(out, "error: {e}: {}", pm.root_cause())?;
+                    }
+                    _ => writeln!(out, "error: {e}")?,
+                },
             }
         }
         Ok(())
@@ -513,6 +514,12 @@ mod tests {
     use super::*;
     use pm_datagen::medical::{MedicalGenerator, MedicalGeneratorConfig};
     use pm_anonymize::anatomy::{AnatomyBucketizer, AnatomyConfig};
+    use privacy_maxent::engine::EngineConfig;
+
+    /// `P(s=1 | attr0=0) = 0.5` on [`medical_session`]'s table: its one
+    /// component system has no solution the dual can reach, and L-BFGS
+    /// stops far outside the accuracy contract.
+    const DIVERGING_ADD: &str = "add 0=0 1 0.5";
 
     fn medical_session() -> Session {
         let data = MedicalGenerator::new(MedicalGeneratorConfig { records: 600, seed: 3 })
@@ -522,8 +529,7 @@ mod tests {
             .unwrap();
         let rules = RuleMiner::new(MinerConfig { min_support: 3, arities: vec![1] })
             .mine(&data);
-        let config = EngineConfig::builder().residual_limit(f64::INFINITY).build();
-        let analyst = Analyst::new(table, config).unwrap();
+        let analyst = Analyst::new(table, EngineConfig::default()).unwrap();
         let mining =
             MiningState { rules, schema: data.schema().clone(), mined: (0, 0) };
         Session::new(analyst, Some(mining), None)
@@ -572,6 +578,20 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The session's strongest mined positive rule as an `add` line: a
+    /// fact about the source data, so the system it joins stays feasible.
+    fn mined_add_line(session: &Session) -> String {
+        let mining = session.mining.as_ref().expect("medical_session mines rules");
+        let rule = &mining.rules.positive[0];
+        let Knowledge::Conditional { antecedent, sa, probability } =
+            Knowledge::from_rule(rule, &mining.schema).unwrap()
+        else {
+            unreachable!("a mined rule compiles to conditional knowledge")
+        };
+        let pairs: Vec<String> = antecedent.iter().map(|(p, v)| format!("{p}={v}")).collect();
+        format!("add {} {sa} {probability}", pairs.join(","))
+    }
+
     /// Without a data source there is nothing to mine; the session says so
     /// instead of panicking, and `add` still works.
     #[test]
@@ -614,7 +634,7 @@ unreachable-after-quit
     fn add_remove_round_trip() {
         let mut session = medical_session();
         let baseline = session.analyst.estimate().term_values().to_vec();
-        let msg = session.execute("add 0=0 1 0.5").unwrap();
+        let msg = session.execute(&mined_add_line(&session)).unwrap();
         assert!(msg.contains("added #0"), "{msg}");
         session.execute("refresh").unwrap();
         assert_ne!(session.analyst.estimate().term_values(), baseline.as_slice());
@@ -622,6 +642,41 @@ unreachable-after-quit
         assert!(msg.contains("removed #0"), "{msg}");
         session.execute("refresh").unwrap();
         assert_eq!(session.analyst.estimate().term_values(), baseline.as_slice());
+    }
+
+    /// The accuracy contract on the library surface: a refresh whose
+    /// component misses the residual limit returns the component error
+    /// with the solver failure as its cause, and the session keeps serving
+    /// the bits it served before.
+    #[test]
+    fn refresh_over_the_residual_limit_errors_and_keeps_the_estimate() {
+        let mut session = medical_session();
+        let before = session.analyst.estimate().term_values().to_vec();
+        session.execute(DIVERGING_ADD).unwrap();
+        let err = session.analyst.refresh().unwrap_err();
+        assert!(matches!(err, PmError::Component { .. }), "{err:?}");
+        assert!(matches!(err.root_cause(), PmError::SolverFailed { .. }), "{err:?}");
+        assert_eq!(session.analyst.estimate().term_values(), before.as_slice());
+    }
+
+    /// The same miss through the command loop: an `error:` line that names
+    /// the cause, the previous estimate still served, and recovery once the
+    /// item is removed.
+    #[test]
+    fn session_reports_the_residual_miss_and_keeps_serving() {
+        let mut session = medical_session();
+        let baseline_row = session.execute("query 0").unwrap();
+        let script = format!("{DIVERGING_ADD}\nrefresh\nquery 0\nremove #0\nrefresh\nreport\n");
+        let mut out = Vec::new();
+        session.drive(script.as_bytes(), &mut out).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        assert!(
+            text.contains("failed to re-solve: solver failed to converge (residual"),
+            "{text}"
+        );
+        assert!(text.contains(&format!("{baseline_row} [stale: deltas pending]")), "{text}");
+        assert!(text.contains("refreshed in"), "{text}");
+        assert!(text.contains("max disclosure 0.2000"), "{text}");
     }
 
     #[test]
@@ -743,7 +798,7 @@ unreachable-after-quit
     #[test]
     fn query_flags_staleness() {
         let mut session = medical_session();
-        session.execute("add 0=0 1 0.5").unwrap();
+        session.execute(&mined_add_line(&session)).unwrap();
         let msg = session.execute("query 0").unwrap();
         assert!(msg.contains("[stale: deltas pending]"), "{msg}");
         session.execute("refresh").unwrap();

@@ -327,7 +327,7 @@ impl Analyst {
     }
 
     /// [`Analyst::open`] with per-session [`EngineConfig`] overrides
-    /// (solver, tolerance, thread count, …).
+    /// (tolerance, thread count, …).
     ///
     /// The artifact bakes in [`EngineConfig::decompose`] and
     /// [`EngineConfig::concise_invariants`] — its invariant rows and
@@ -335,9 +335,9 @@ impl Analyst {
     /// returns [`PmError::ArtifactMismatch`] instead of silently serving
     /// estimates from a mismatched artifact. For a `decompose = false`
     /// artifact the baked-in baseline is additionally a *numeric* solve, so
-    /// the solver knobs (`solver`, `tolerance`, `max_iterations`) must
-    /// match too; under decomposition the baseline is the closed form and
-    /// those stay freely overridable.
+    /// the solver knobs (`tolerance`, `max_iterations`) must match too;
+    /// under decomposition the baseline is the closed form and those stay
+    /// freely overridable.
     pub fn open_with(
         artifact: Arc<CompiledTable>,
         config: EngineConfig,
@@ -365,9 +365,7 @@ impl Analyst {
         // produces. (Under decomposition the baseline is the closed form —
         // no solver touched it — so per-session solver overrides are fine.)
         if !built.decompose {
-            let mismatch = if config.solver != built.solver {
-                Some(format!("solver ({:?} vs {:?})", built.solver, config.solver))
-            } else if config.tolerance != built.tolerance {
+            let mismatch = if config.tolerance != built.tolerance {
                 Some(format!("tolerance ({} vs {})", built.tolerance, config.tolerance))
             } else if config.max_iterations != built.max_iterations {
                 Some(format!(
@@ -1419,10 +1417,7 @@ mod tests {
         assert!(matches!(
             Analyst::open_with(
                 joint,
-                EngineConfig::builder()
-                    .decompose(false)
-                    .solver(crate::engine::SolverKind::Gis)
-                    .build(),
+                EngineConfig::builder().decompose(false).max_iterations(500).build(),
             ),
             Err(PmError::ArtifactMismatch { .. })
         ));

@@ -37,9 +37,12 @@ pub enum PmError {
     },
     /// A probability parameter lies outside `[0, 1]`.
     InvalidProbability(f64),
-    /// The solver failed to converge within its budget.
+    /// A solve stopped outside its accuracy bound, so no estimate is
+    /// returned. For a component solve the bound is
+    /// [`crate::engine::EngineConfig::residual_limit`] times the
+    /// component's record mass.
     SolverFailed {
-        /// Final residual achieved.
+        /// The constraint residual the solve left (`‖A p − c‖∞`).
         residual: f64,
     },
     /// Knowledge about individuals was passed to an entry point that only

@@ -91,7 +91,7 @@ pub fn data_invariants(
 }
 
 /// The total probability mass implied by the invariants of a set of buckets
-/// (`Σ_b Σ_q P(q, b)`); used to parameterise GIS and sanity checks.
+/// (`Σ_b Σ_q P(q, b)`).
 pub fn bucket_mass(table: &PublishedTable, buckets: &[usize]) -> f64 {
     let n = table.total_records() as f64;
     buckets

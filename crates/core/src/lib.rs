@@ -92,7 +92,6 @@ pub mod delta;
 pub mod engine;
 pub mod error;
 pub mod individuals;
-pub mod inequality;
 pub mod invariants;
 pub mod knowledge;
 pub mod metrics;
@@ -100,7 +99,6 @@ mod overlay;
 pub mod partition;
 pub mod persist;
 pub mod preprocess;
-pub mod ranges;
 pub mod report;
 pub mod terms;
 pub mod validate;
@@ -109,9 +107,7 @@ pub mod wire;
 pub use analyst::{Analyst, AnalystReport, KnowledgeHandle, RebaseStats, RefreshStats};
 pub use compiled::{CompileStats, CompiledTable};
 pub use delta::{AppliedDelta, DeltaOp, TableDelta};
-pub use engine::{
-    Engine, EngineConfig, EngineConfigBuilder, EngineStats, Estimate, SolverKind,
-};
+pub use engine::{Engine, EngineConfig, EngineConfigBuilder, EngineStats, Estimate};
 pub use error::{CoreError, PmError};
 pub use knowledge::{Knowledge, KnowledgeBase};
 pub use persist::{

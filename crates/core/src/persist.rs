@@ -75,7 +75,7 @@ use pm_microdata::value::Value;
 
 use crate::compiled::{CompiledTable, CoreState};
 use crate::delta::{AppliedDelta, DeltaOp, TableDelta};
-use crate::engine::{EngineConfig, SolverKind};
+use crate::engine::EngineConfig;
 use crate::error::PmError;
 use crate::terms::{BucketTerms, TermIndex};
 use crate::wire::{checksum64, Reader as R, Writer as W};
@@ -136,15 +136,6 @@ fn encode_section(out: &mut Vec<u8>, id: u32, payload: &[u8]) {
     out.extend_from_slice(payload);
 }
 
-fn solver_code(kind: SolverKind) -> u8 {
-    match kind {
-        SolverKind::Lbfgs => 0,
-        SolverKind::Gis => 1,
-        SolverKind::Iis => 2,
-        SolverKind::GradientDescent => 3,
-    }
-}
-
 pub(crate) fn encode_snapshot(artifact: &CompiledTable) -> Vec<u8> {
     let table = artifact.table();
     let interner = table.interner();
@@ -181,7 +172,9 @@ pub(crate) fn encode_snapshot(artifact: &CompiledTable) -> Vec<u8> {
 
     // 2 CONFIG
     let mut cfg = W::default();
-    cfg.u8(solver_code(config.solver));
+    // Solver code: 0 is L-BFGS, the one solver; 1-3 named retired solvers
+    // and fail the load (see `decode_config`).
+    cfg.u8(0);
     cfg.u8(u8::from(config.decompose));
     cfg.u8(u8::from(config.concise_invariants));
     // Reserved byte, kept so the v1 layout does not move: written as 0,
@@ -379,13 +372,19 @@ fn decode_meta(s: &Section<'_>) -> Result<Meta, PmError> {
 
 fn decode_config(s: &Section<'_>) -> Result<EngineConfig, PmError> {
     let mut r = s.reader();
-    let solver = match r.u8()? {
-        0 => SolverKind::Lbfgs,
-        1 => SolverKind::Gis,
-        2 => SolverKind::Iis,
-        3 => SolverKind::GradientDescent,
+    // A `decompose = false` snapshot stores BASELINES solved by the
+    // solver this byte names; serving them next to L-BFGS re-solves would
+    // mix two solvers' bits, so a retired code is refused, not ignored.
+    match r.u8()? {
+        0 => {}
+        code @ 1..=3 => {
+            let name = ["GIS", "IIS", "gradient descent"][usize::from(code) - 1];
+            return Err(r.corrupt(format!(
+                "solver code {code} names {name}, a retired solver; only L-BFGS (0) is served"
+            )));
+        }
         other => return Err(r.corrupt(format!("unknown solver code {other}"))),
-    };
+    }
     let decompose = r.u8()? != 0;
     let concise = r.u8()? != 0;
     let _reserved = r.u8()?;
@@ -395,7 +394,6 @@ fn decode_config(s: &Section<'_>) -> Result<EngineConfig, PmError> {
     let residual_limit = r.f64()?;
     r.finish()?;
     Ok(EngineConfig::builder()
-        .solver(solver)
         .decompose(decompose)
         .concise_invariants(concise)
         .threads(threads)
@@ -1167,6 +1165,34 @@ mod tests {
             patched.baseline_estimate().term_values(),
             unpatched.baseline_estimate().term_values()
         );
+    }
+
+    /// CONFIG's first byte names the solver, and only 0 (L-BFGS) loads: a
+    /// `decompose = false` snapshot's BASELINES were solved by the solver
+    /// it names, so a retired code fails the load instead of being read as
+    /// L-BFGS.
+    #[test]
+    fn retired_solver_code_is_refused_on_load() {
+        let artifact = paper_artifact();
+        let dir = tmpdir("retired-solver-code");
+        let path = dir.join(SNAPSHOT_FILE);
+        artifact.save(&path).unwrap();
+        let mut bytes = fs::read(&path).unwrap();
+
+        let config = &split_sections(&bytes).unwrap()[1];
+        let (base, len) = (config.base as usize, config.payload.len());
+        assert_eq!(bytes[base], 0, "the solver byte is written as 0");
+        bytes[base] = 1;
+        let sum = checksum64(&bytes[base..base + len]);
+        bytes[base - 8..base].copy_from_slice(&sum.to_le_bytes());
+        fs::write(&path, &bytes).unwrap();
+
+        let Some(PmError::Corrupt { section, detail, .. }) = CompiledTable::load(&path).err()
+        else {
+            panic!("a retired solver code must fail the load as corrupt");
+        };
+        assert_eq!(section, "config");
+        assert!(detail.contains("GIS") && detail.contains("retired"), "{detail}");
     }
 
     #[test]

@@ -133,7 +133,7 @@ mod tests {
             &rules,
             &bounds,
             Some(&truth),
-            &EngineConfig { residual_limit: f64::INFINITY, ..Default::default() },
+            &EngineConfig::default(),
         )
         .unwrap();
         assert_eq!(report.rows.len(), 4);
@@ -157,7 +157,7 @@ mod tests {
             &rules,
             &bounds,
             None,
-            &EngineConfig { residual_limit: f64::INFINITY, ..Default::default() },
+            &EngineConfig::default(),
         )
         .unwrap();
         // Accuracy column absent without truth.
@@ -179,7 +179,7 @@ mod tests {
             &rules,
             &[(0, 0), (3, 3)],
             Some(&truth),
-            &EngineConfig { residual_limit: f64::INFINITY, ..Default::default() },
+            &EngineConfig::default(),
         )
         .unwrap();
         let text = report.to_string();

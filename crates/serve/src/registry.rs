@@ -111,7 +111,11 @@ fn app_error(e: &PmError) -> ServeError {
         PmError::Infeasible { .. } | PmError::Component { .. } => ErrorCode::Infeasible,
         _ => ErrorCode::App,
     };
-    ServeError::new(code, e.to_string())
+    // A wrapper (a component that failed to re-solve) also names its root
+    // cause, e.g. the residual that missed the accuracy contract.
+    let root = e.root_cause();
+    let detail = if std::ptr::eq(root, e) { e.to_string() } else { format!("{e}: {root}") };
+    ServeError::new(code, detail)
 }
 
 /// What a tenant currently serves: the estimate plus the bucket count of

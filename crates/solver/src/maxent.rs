@@ -17,10 +17,11 @@
 //! g(λ) = Σᵢ exp(aᵢᵀλ − 1) − cᵀλ,    ∇g(λ) = A·p(λ) − c.
 //! ```
 //!
-//! Minimising `g` is unconstrained; any of the crate's solvers applies. The
-//! non-negativity constraint is automatically strictly satisfied by the
-//! exponential form, which is why constraints forcing terms to zero must be
-//! *eliminated* beforehand (the core crate's preprocessor does this).
+//! Minimising `g` is an unconstrained problem, which [`crate::lbfgs`]
+//! solves. The non-negativity constraint is automatically strictly
+//! satisfied by the exponential form, which is why constraints forcing
+//! terms to zero must be *eliminated* beforehand (the core crate's
+//! preprocessor does this).
 
 use crate::objective::Objective;
 use pm_linalg::CsrMatrix;
@@ -41,16 +42,6 @@ impl MaxEntDual {
     pub fn new(a: CsrMatrix, c: Vec<f64>) -> Self {
         assert_eq!(a.nrows(), c.len(), "constraint count mismatch");
         Self { a, c }
-    }
-
-    /// The constraint matrix.
-    pub fn matrix(&self) -> &CsrMatrix {
-        &self.a
-    }
-
-    /// The right-hand side.
-    pub fn targets(&self) -> &[f64] {
-        &self.c
     }
 
     /// Number of dual variables (= constraints).

@@ -1,4 +1,4 @@
-//! Convergence reporting shared by all solvers.
+//! Convergence reporting for the dual solver.
 
 use std::time::Duration;
 

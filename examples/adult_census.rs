@@ -60,8 +60,7 @@ fn main() {
     // 4. Privacy vs. amount of background knowledge (Figure 5's shape),
     //    served incrementally: step K→K' adds only rules [K/2, K'/2) of
     //    each polarity and refreshes.
-    let config = EngineConfig::builder().residual_limit(f64::INFINITY).build();
-    let mut analyst = Analyst::new(table, config).expect("baseline solves");
+    let mut analyst = Analyst::new(table, EngineConfig::default()).expect("baseline solves");
     println!("\n    K   accuracy(KL)  max-disclosure  re-solved/components  refresh");
     let mut prev = 0usize;
     for k in [0usize, 50, 200, 1000, 5000] {

@@ -40,10 +40,9 @@ fn main() {
         mondrian.num_buckets()
     );
 
-    let config = EngineConfig::builder().residual_limit(f64::INFINITY).build();
     let mut sessions = [
-        Analyst::new(anatomy, config.clone()).expect("anatomy baseline solves"),
-        Analyst::new(mondrian, config).expect("mondrian baseline solves"),
+        Analyst::new(anatomy, EngineConfig::default()).expect("anatomy baseline solves"),
+        Analyst::new(mondrian, EngineConfig::default()).expect("mondrian baseline solves"),
     ];
 
     println!(

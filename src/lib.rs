@@ -199,7 +199,7 @@
 //! | [`pm_anonymize`] | Anatomy / Mondrian bucketizers, pseudonyms, `D'` |
 //! | [`pm_assoc`] | Top-(K+, K−) association-rule mining |
 //! | [`pm_linalg`] | dense + CSR sparse kernels |
-//! | [`pm_solver`] | GIS/IIS, gradient, L-BFGS maxent solvers (cold-started, bit-identical) |
+//! | [`pm_solver`] | the maxent dual and its one solver, L-BFGS (cold-started, bit-identical) |
 //! | [`pm_parallel`] | scoped work-stealing executor with per-worker scratch state, broadcast |
 //! | [`privacy_maxent`] | invariants, knowledge compilation, `CompiledTable` artifact, `Analyst` sessions |
 //! | [`pm_datagen`] | Adult-census-like and synthetic generators |
@@ -249,7 +249,7 @@ pub mod prelude {
     pub use privacy_maxent::compiled::{CompileStats, CompiledTable};
     pub use privacy_maxent::delta::{AppliedDelta, DeltaOp, TableDelta};
     pub use privacy_maxent::engine::{
-        Engine, EngineConfig, EngineConfigBuilder, EngineStats, Estimate, SolverKind,
+        Engine, EngineConfig, EngineConfigBuilder, EngineStats, Estimate,
     };
     pub use privacy_maxent::error::PmError;
     pub use privacy_maxent::knowledge::{Knowledge, KnowledgeBase};

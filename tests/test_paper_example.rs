@@ -3,7 +3,7 @@
 
 use pm_anonymize::fixtures::paper_example;
 use pm_microdata::distribution::QiSaDistribution;
-use privacy_maxent::engine::{Engine, EngineConfig, SolverKind};
+use privacy_maxent::engine::{Engine, EngineConfig};
 use privacy_maxent::knowledge::{Knowledge, KnowledgeBase};
 use privacy_maxent::metrics;
 
@@ -109,34 +109,6 @@ fn engine_configs_agree_on_paper_example() {
                 assert!(
                     (est.conditional(q, s) - reference.conditional(q, s)).abs() < 1e-6,
                     "decompose={decompose} concise={concise} q={q} s={s}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn iterative_scaling_solvers_reach_the_same_optimum() {
-    let (_, table) = paper_example();
-    let mut kb = KnowledgeBase::new();
-    kb.push(Knowledge::Conditional {
-        antecedent: vec![(0, 1)],
-        sa: 3,
-        probability: 0.3,
-    })
-    .unwrap();
-    let reference = Engine::default().estimate(&table, &kb).unwrap();
-    for solver in [SolverKind::Gis, SolverKind::Iis] {
-        let est = Engine::new(
-            EngineConfig::builder().solver(solver).max_iterations(100_000).build(),
-        )
-        .estimate(&table, &kb)
-        .unwrap();
-        for q in 0..6 {
-            for s in 0..5u16 {
-                assert!(
-                    (est.conditional(q, s) - reference.conditional(q, s)).abs() < 1e-4,
-                    "{solver:?} q={q} s={s}"
                 );
             }
         }

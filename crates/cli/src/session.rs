@@ -322,11 +322,12 @@ impl Session {
     fn cmd_refresh(&mut self) -> Result<String, Box<dyn Error>> {
         let stats = self.analyst.refresh()?;
         Ok(format!(
-            "refreshed in {:.3} ms: {} component(s), {} re-solved, \
+            "refreshed in {:.3} ms: {} component(s), {} re-solved ({} solves), \
              {} closed-form, {} reused",
             stats.wall.as_secs_f64() * 1e3,
             stats.components,
             stats.resolved,
+            stats.solves,
             stats.closed_form,
             stats.reused,
         ))

@@ -85,7 +85,7 @@
 //! [`CompiledTable::apply`]: crate::compiled::CompiledTable::apply
 //! [`Engine::estimate`]: crate::engine::Engine::estimate
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -171,6 +171,9 @@ pub struct RefreshStats {
     pub dirty: usize,
     /// Dirty components re-solved numerically.
     pub resolved: usize,
+    /// Solves dispatched for them: one per distinct local system, since
+    /// components with byte-equal systems share one solve's bits.
+    pub solves: usize,
     /// Dirty irrelevant components reverted to the Theorem 5 closed form.
     pub closed_form: usize,
     /// Clean components whose previous solution was reused verbatim.
@@ -223,8 +226,9 @@ impl fmt::Display for AnalystReport {
         )?;
         writeln!(
             f,
-            "last refresh: {} re-solved, {} closed-form, {} reused in {:.3} ms",
+            "last refresh: {} re-solved ({} solves), {} closed-form, {} reused in {:.3} ms",
             self.last_refresh.resolved,
+            self.last_refresh.solves,
             self.last_refresh.closed_form,
             self.last_refresh.reused,
             self.last_refresh.wall.as_secs_f64() * 1e3,
@@ -710,7 +714,7 @@ impl Analyst {
                         ov == nv && old_index.term(ot) == new_index.term(nt)
                     });
                 let mut footprint: Vec<usize> =
-                    c.coeffs.iter().map(|&(t, _)| new_index.term(t).b).collect();
+                    c.coeffs.iter().map(|&(t, _)| new_index.bucket_of(t)).collect();
                 footprint.sort_unstable();
                 footprint.dedup();
                 if !unchanged {
@@ -833,7 +837,7 @@ impl Analyst {
         let mut handles = Vec::with_capacity(items.len());
         for (item, c) in items.iter().zip(compiled) {
             let mut footprint: Vec<usize> =
-                c.coeffs.iter().map(|&(t, _)| index.term(t).b).collect();
+                c.coeffs.iter().map(|&(t, _)| index.bucket_of(t)).collect();
             footprint.sort_unstable();
             footprint.dedup();
             self.dirty.extend(footprint.iter().copied());
@@ -1038,17 +1042,48 @@ impl Analyst {
             }
         }
 
-        // Re-solve dirty numeric components on the worker pool (dirty-set
+        // Every solve starts cold, so a component's bits are a function of
+        // its localised system alone: dirty components with byte-equal
+        // systems share one solve (a bag of systems solved as a set plus
+        // multiplicities). Key each system by its hash, computed in
+        // per-worker scratch, and confirm every repeat byte for byte
+        // against the first member of its group, re-localising both rather
+        // than holding every system for the whole refresh.
+        let config = &self.config;
+        let table = artifact.table();
+        let keys = pm_parallel::map_with(
+            config.threads,
+            &dirty_numeric,
+            SolveScratch::default,
+            |scratch, _, &ci| {
+                scratch.localise(table, index, rows, &components[ci]);
+                scratch.system_hash()
+            },
+        );
+        let (mut held, mut probe) = (SolveScratch::default(), SolveScratch::default());
+        let mut held_rep = None;
+        let group = group_systems(&keys, |r, i| {
+            if held_rep != Some(r) {
+                held.localise(table, index, rows, &components[dirty_numeric[r]]);
+                held_rep = Some(r);
+            }
+            probe.localise(table, index, rows, &components[dirty_numeric[i]]);
+            held.same_system(&probe)
+        });
+        let representatives: Vec<usize> =
+            (0..group.len()).filter(|&i| group[i] == i).map(|i| dirty_numeric[i]).collect();
+
+        // Solve the representatives on the worker pool (dirty-set
         // scheduling); each worker carries ONE scratch arena across every
         // component it solves. Mirrors the historical engine: an abort flag
         // skips still-queued work once one component fails, and the
-        // earliest-indexed observed failure is reported.
-        let config = &self.config;
-        let table = artifact.table();
+        // earliest-indexed observed failure is reported. A representative
+        // is the first member of its group, so a failing system is
+        // reported under the earliest component that poses it.
         let failed = AtomicBool::new(false);
         let solved = pm_parallel::map_with(
             config.threads,
-            &dirty_numeric,
+            &representatives,
             SolveScratch::default,
             |scratch, _, &ci| {
                 if failed.load(Ordering::Relaxed) {
@@ -1061,13 +1096,12 @@ impl Analyst {
                 Some((ci, result))
             },
         );
-        let mut solutions: Vec<(usize, ComponentSolution)> =
-            Vec::with_capacity(dirty_numeric.len());
-        // Results come back in `dirty_numeric` order, so this scan visits
+        let mut solutions: Vec<ComponentSolution> = Vec::with_capacity(representatives.len());
+        // Results come back in `representatives` order, so this scan visits
         // components in canonical order — the earliest-indexed failure wins.
         for slot in solved {
             match slot {
-                Some((ci, Ok(sol))) => solutions.push((ci, sol)),
+                Some((_, Ok(sol))) => solutions.push(sol),
                 // Earliest-indexed observed failure; no state was merged,
                 // so removing the offending delta and refreshing recovers.
                 Some((ci, Err(e))) => {
@@ -1106,9 +1140,17 @@ impl Analyst {
             },
             ..Default::default()
         };
-        for (ci, sol) in solutions {
-            estats.num_constraints += sol.num_constraints;
-            estats.num_free_terms += sol.num_free_terms;
+        // Each member of a group takes its representative's solution, in
+        // canonical component order. `slot[i]` is the solution of the group
+        // whose representative sits at position `i`.
+        let mut slot = vec![usize::MAX; group.len()];
+        let mut next = 0usize;
+        for (i, &ci) in dirty_numeric.iter().enumerate() {
+            if group[i] == i {
+                slot[i] = next;
+                next += 1;
+            }
+            let sol = &solutions[slot[group[i]]];
             // A component's local term space is the concatenation of its
             // buckets' ranges, so the solution splits into per-bucket
             // overlay slices by range length.
@@ -1119,6 +1161,11 @@ impl Analyst {
                 offset += len;
             }
             debug_assert_eq!(offset, sol.values.len(), "component terms must cover buckets");
+        }
+        let solves = solutions.len();
+        for sol in solutions {
+            estats.num_constraints += sol.num_constraints;
+            estats.num_free_terms += sol.num_free_terms;
             if let Some(s) = sol.stats {
                 estats.component_stats.push(s);
             }
@@ -1171,6 +1218,7 @@ impl Analyst {
             components: self.num_components(),
             dirty: resolved + closed_form,
             resolved,
+            solves,
             closed_form,
             reused,
             individual_resolve,
@@ -1302,6 +1350,26 @@ impl Analyst {
             stats,
         )
     }
+}
+
+/// Groups a refresh's dirty component systems into distinct ones. Entry
+/// `i` of the result is the position of `i`'s representative: the first
+/// position, in canonical order, whose system equals `i`'s (`i` itself
+/// when none does). `keys` are the systems' hashes; `same(r, i)` confirms
+/// that representative `r`'s system is byte-equal to `i`'s. A hash match
+/// alone never groups, so a collision between unequal systems solves both.
+fn group_systems(keys: &[u64], mut same: impl FnMut(usize, usize) -> bool) -> Vec<usize> {
+    let mut reps_by_key: HashMap<u64, Vec<usize>> = HashMap::new();
+    let mut group = Vec::with_capacity(keys.len());
+    for (i, &key) in keys.iter().enumerate() {
+        let candidates = reps_by_key.entry(key).or_default();
+        let rep = candidates.iter().copied().find(|&r| same(r, i));
+        group.push(rep.unwrap_or_else(|| {
+            candidates.push(i);
+            i
+        }));
+    }
+    group
 }
 
 // Compile-time contract: sessions are handed between threads in resident
@@ -1959,5 +2027,94 @@ mod tests {
         assert_eq!(batch.len(), 2);
         assert!((batch[0] - 0.5).abs() < 1e-6);
         assert!(!format!("{after}").is_empty());
+    }
+
+    /// Two buckets of the same shape, each holding three symbols and three
+    /// SA values once: `q0 = (0, 0)`, `q1 = (0, 1)`, `q2 = (1, 2)` in
+    /// bucket 0, and `q3 = (2, 0)`, `q4 = (2, 1)`, `q5 = (3, 2)` in
+    /// bucket 1. `P(s | attr0 = 0)` and `P(s | attr0 = 2)` therefore pose
+    /// byte-equal local systems in the two buckets.
+    fn twin_buckets() -> PublishedTable {
+        use pm_anonymize::published::BucketView;
+        let tuples = vec![vec![0, 0], vec![0, 1], vec![1, 2], vec![2, 0], vec![2, 1], vec![3, 2]];
+        let interner = pm_microdata::qi::QiInterner::from_parts(tuples, vec![1; 6]);
+        let sa = vec![(0, 1), (1, 1), (2, 1)];
+        let buckets = vec![
+            Arc::new(BucketView::from_counts(vec![(0, 1), (1, 1), (2, 1)], sa.clone()).unwrap()),
+            Arc::new(BucketView::from_counts(vec![(3, 1), (4, 1), (5, 1)], sa).unwrap()),
+        ];
+        PublishedTable::from_parts(interner, buckets, 3).unwrap()
+    }
+
+    /// Grouping follows the hashes, confirmed by equality: members point at
+    /// the first position of their system, in canonical order.
+    #[test]
+    fn grouping_keys_by_hash_and_confirms_by_equality() {
+        let systems = ["a", "b", "a", "c", "b", "a"];
+        let keys = [1, 2, 1, 3, 2, 1];
+        let group = group_systems(&keys, |r, i| systems[r] == systems[i]);
+        assert_eq!(group, vec![0, 1, 0, 3, 1, 0]);
+    }
+
+    /// A hash collision between unequal systems groups nothing: both solve.
+    #[test]
+    fn forced_hash_collision_solves_both() {
+        let systems = ["a", "b", "a", "b"];
+        let group = group_systems(&[7; 4], |r, i| systems[r] == systems[i]);
+        assert_eq!(group, vec![0, 1, 0, 1]);
+        assert_eq!(group_systems(&[7; 3], |_, _| false), vec![0, 1, 2]);
+    }
+
+    /// Two components with byte-equal local systems take one solve, and
+    /// each gets the bits it gets when solved alone.
+    #[test]
+    fn equal_component_systems_share_one_solve() {
+        let rule = |v| conditional_k(vec![(0, v)], 0, 0.3);
+        let mut both = Analyst::new(twin_buckets(), EngineConfig::default()).unwrap();
+        let _ = both.add_knowledge_batch(&[rule(0), rule(2)]).unwrap();
+        let stats = both.refresh().unwrap();
+        assert_eq!((stats.resolved, stats.solves), (2, 1));
+        assert_eq!(both.estimate().stats.component_stats.len(), 1, "the solver ran once");
+        for (b, v) in [(0, 0), (1, 2)] {
+            let mut alone = Analyst::new(twin_buckets(), EngineConfig::default()).unwrap();
+            let _ = alone.add_knowledge(rule(v)).unwrap();
+            assert_eq!(alone.refresh().unwrap().solves, 1);
+            let table = alone.table();
+            for &(q, _) in table.bucket(b).qi_counts() {
+                for s in 0..3 {
+                    assert_eq!(
+                        both.estimate().p_qsb(q, s, b).to_bits(),
+                        alone.estimate().p_qsb(q, s, b).to_bits(),
+                        "q{q} s{s} in bucket {b}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// An infeasible system posed by two components fails the refresh
+    /// under the earlier component's index, as it did when each component
+    /// solved on its own.
+    #[test]
+    fn shared_infeasible_system_reports_the_earlier_component() {
+        // Each bucket holds s0 once, so P(s0 | attr0 = v) = 1 over two
+        // records asks for two.
+        let rule = |v| conditional_k(vec![(0, v)], 0, 1.0);
+        let mut analyst = Analyst::new(twin_buckets(), EngineConfig::default()).unwrap();
+        let _ = analyst.add_knowledge_batch(&[rule(2), rule(0)]).unwrap();
+        let Err(PmError::Component { index, .. }) = analyst.refresh() else {
+            panic!("the shared system is infeasible");
+        };
+        // The failed refresh kept the baseline partition, so partition
+        // afresh to find the components the refresh saw.
+        let krows = analyst.build_knowledge_rows();
+        let comps = knowledge_components(
+            &krows,
+            analyst.artifact.num_invariants(),
+            analyst.artifact.term_index(),
+        );
+        let of = |b: usize| comps.iter().position(|c| c.buckets.contains(&b)).unwrap();
+        assert!(of(0) < of(1));
+        assert_eq!(index, of(0));
     }
 }

@@ -9,9 +9,11 @@
 //! ```
 //!
 //! In term space the double sum is simply "every admissible term `(q, s, b)`
-//! whose full QI tuple `q` matches `Qv`": the interner enumerates full
-//! tuples, so marginalising `Q⁻` is a matching scan and marginalising `B`
-//! walks the buckets containing `q`.
+//! whose full QI tuple `q` matches `Qv`": marginalising `Q⁻` is a join of
+//! the interner's per-(position, value) bitsets
+//! ([`pm_microdata::qi::QiInterner::matching`]), which yields the matching
+//! symbols in ascending id order, and marginalising `B` walks the buckets
+//! containing `q`.
 
 use std::sync::Arc;
 
@@ -178,13 +180,14 @@ pub(crate) fn compile_conditional_indexed(
 
     let mut coeffs = Vec::new();
     let mut matching_count = 0usize;
-    for (q, tuple, count) in interner.iter() {
-        let matches = antecedent.iter().all(|&(pos, v)| tuple[pos] == v);
-        if !matches {
-            continue;
-        }
-        matching_count += count;
+    for q in interner.matching(antecedent) {
+        matching_count += interner.count(q);
         for &b in buckets_of[q].iter() {
+            // Admissible terms pair a bucket's symbols with its SA values,
+            // so a bucket without `sa` has no term to look up.
+            if !table.bucket(b).contains_sa(sa) {
+                continue;
+            }
             if let Some(t) = index.get(q, sa, b) {
                 coeffs.push((t, 1.0));
             }

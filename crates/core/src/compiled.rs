@@ -268,6 +268,7 @@ impl CompiledTable {
             }
             estats.num_components = 1;
             stats.resolved = 1;
+            stats.solves = 1;
             (0..m)
                 .map(|b| Arc::from(&values[core.index.bucket_range(b)]))
                 .collect()

@@ -249,9 +249,10 @@ impl EngineConfigBuilder {
 /// On an [`crate::analyst::Analyst`] session these describe the **last
 /// refresh**: `num_components` / `num_irrelevant` snapshot the whole current
 /// partition, while `component_stats`, `num_constraints` and
-/// `num_free_terms` cover only the components that refresh actually solved
-/// (a one-shot [`Engine::estimate`] solves everything in one refresh, so
-/// there the historical meaning is unchanged).
+/// `num_free_terms` cover only the solves that refresh dispatched: one per
+/// distinct component system, since components posing byte-equal systems
+/// share one solve (a one-shot [`Engine::estimate`] solves everything in
+/// one refresh).
 #[derive(Debug, Clone, Default)]
 pub struct EngineStats {
     /// Per-solved-component statistics (irrelevant components don't solve).
@@ -533,6 +534,12 @@ impl Engine {
 /// storage: one coefficient buffer + prefix-sum bounds), replacing the
 /// per-row `Vec` clones and the per-term `HashMap` the historical path
 /// paid for on every solve.
+///
+/// After [`SolveScratch::localise`] the scratch holds the component's
+/// whole **local system** — local term count, flat rows, targets and
+/// record mass — which is everything a solve reads. That makes it the
+/// key the session engine groups equal systems by
+/// ([`SolveScratch::system_hash`], [`SolveScratch::same_system`]).
 #[derive(Debug, Default)]
 pub(crate) struct SolveScratch {
     /// Local start offset of each component bucket's term range.
@@ -543,6 +550,106 @@ pub(crate) struct SolveScratch {
     bounds: Vec<usize>,
     /// …and count-space targets.
     rhs: Vec<f64>,
+    /// Local term count: the concatenated length of the buckets' ranges.
+    n_local: usize,
+    /// Records in the component's buckets (the residual check's scale).
+    mass: f64,
+}
+
+impl SolveScratch {
+    /// Localises `comp`'s constraint rows into this scratch, replacing
+    /// whatever it held.
+    pub(crate) fn localise(
+        &mut self,
+        table: &PublishedTable,
+        index: &TermIndex,
+        rows: RowSet<'_>,
+        comp: &Component,
+    ) {
+        let SolveScratch { concat_start, coeffs, bounds, rhs, n_local, mass } = self;
+        concat_start.clear();
+        coeffs.clear();
+        bounds.clear();
+        rhs.clear();
+
+        // Local term space: concatenation of the component buckets' ranges.
+        // `concat_start[i]` is where comp.buckets[i]'s range begins locally.
+        *n_local = 0;
+        for &b in &comp.buckets {
+            concat_start.push(*n_local);
+            *n_local += index.bucket_range(b).len();
+        }
+        *mass = comp.buckets.iter().map(|&b| table.bucket(b).size() as f64).sum();
+        // A global term localises by pure offset arithmetic: find its
+        // bucket, find the bucket's position in the component, add the
+        // in-bucket offset — no per-term map to build or hash.
+        let local_of = |t: usize| -> usize {
+            let b = index.bucket_of(t);
+            let pos = comp
+                .buckets
+                .binary_search(&b)
+                .expect("knowledge row terms lie in the component's buckets");
+            concat_start[pos] + (t - index.bucket_range(b).start)
+        };
+
+        // Localised constraints, assembled contiguously (CSR-style rows).
+        // Invariant rows arrive in bucket-local coordinates (count-space
+        // rhs) from the shared artifact and localise by offset arithmetic;
+        // knowledge rows carry global term ids through `local_of`.
+        bounds.push(0);
+        for (i, &b) in comp.buckets.iter().enumerate() {
+            let start = concat_start[i];
+            for c in rows.bucket_rows[b].iter() {
+                coeffs.extend(c.coeffs.iter().map(|&(t, v)| (start + t, v)));
+                bounds.push(coeffs.len());
+                rhs.push(c.rhs);
+            }
+        }
+        for &ci in &comp.knowledge_rows {
+            let c = rows.knowledge_row(ci);
+            coeffs.extend(c.coeffs.iter().map(|&(t, v)| (local_of(t), v)));
+            bounds.push(coeffs.len());
+            rhs.push(c.rhs);
+        }
+    }
+
+    /// A 64-bit hash of the localised system (FxHash-style word mixing;
+    /// floats hash by their bits). Equal systems hash equal; callers
+    /// confirm a hash match with [`SolveScratch::same_system`].
+    pub(crate) fn system_hash(&self) -> u64 {
+        const K: u64 = 0x517c_c1b7_2722_0a95;
+        let mut h = 0u64;
+        let mut mix = |w: u64| h = (h.rotate_left(5) ^ w).wrapping_mul(K);
+        mix(self.n_local as u64);
+        mix(self.mass.to_bits());
+        for &b in &self.bounds {
+            mix(b as u64);
+        }
+        for &(t, v) in &self.coeffs {
+            mix(t as u64);
+            mix(v.to_bits());
+        }
+        for &r in &self.rhs {
+            mix(r.to_bits());
+        }
+        h
+    }
+
+    /// Whether `self` and `other` hold byte-equal localised systems — the
+    /// condition under which their solves return identical bits.
+    pub(crate) fn same_system(&self, other: &SolveScratch) -> bool {
+        self.n_local == other.n_local
+            && self.mass.to_bits() == other.mass.to_bits()
+            && self.bounds == other.bounds
+            && self.coeffs.len() == other.coeffs.len()
+            && self
+                .coeffs
+                .iter()
+                .zip(&other.coeffs)
+                .all(|(&(ta, va), &(tb, vb))| ta == tb && va.to_bits() == vb.to_bits())
+            && self.rhs.len() == other.rhs.len()
+            && self.rhs.iter().zip(&other.rhs).all(|(a, b)| a.to_bits() == b.to_bits())
+    }
 }
 
 /// Solves one component's maxent subproblem. Pure with respect to shared
@@ -562,9 +669,10 @@ pub(crate) struct SolveScratch {
 /// reuse guarantee. The caller divides by `N` when assembling an estimate.
 ///
 /// Every solve cold-starts from the dual origin, so the result is a
-/// function of the component's constraint system alone. `scratch` is
-/// cleared before use, so a reused scratch and a fresh one produce
-/// identical results — only allocation traffic differs.
+/// function of the component's localised system alone
+/// ([`SolveScratch::localise`]): two components with byte-equal systems get
+/// identical bits, and so do a reused scratch and a fresh one — only
+/// allocation traffic differs.
 pub(crate) fn solve_component(
     config: &EngineConfig,
     table: &PublishedTable,
@@ -573,52 +681,9 @@ pub(crate) fn solve_component(
     comp: &Component,
     scratch: &mut SolveScratch,
 ) -> Result<ComponentSolution, PmError> {
-    let SolveScratch { concat_start, coeffs, bounds, rhs } = scratch;
-    concat_start.clear();
-    coeffs.clear();
-    bounds.clear();
-    rhs.clear();
-
-    // Local term space: concatenation of the component buckets' ranges.
-    // `concat_start[i]` is where comp.buckets[i]'s range begins locally.
-    let mut n_local = 0usize;
-    for &b in &comp.buckets {
-        concat_start.push(n_local);
-        n_local += index.bucket_range(b).len();
-    }
-    // A global term localises by pure offset arithmetic: find its bucket,
-    // find the bucket's position in the component, add the in-bucket
-    // offset — no per-term map to build or hash.
-    let local_of = |t: usize| -> usize {
-        let b = index.bucket_of(t);
-        let pos = comp
-            .buckets
-            .binary_search(&b)
-            .expect("knowledge row terms lie in the component's buckets");
-        concat_start[pos] + (t - index.bucket_range(b).start)
-    };
-
-    // Localised constraints, assembled contiguously (CSR-style rows).
-    // Invariant rows arrive in bucket-local coordinates (count-space rhs)
-    // from the shared artifact and localise by offset arithmetic;
-    // knowledge rows carry global term ids through `local_of`.
-    bounds.push(0);
-    for (i, &b) in comp.buckets.iter().enumerate() {
-        let start = concat_start[i];
-        for c in rows.bucket_rows[b].iter() {
-            coeffs.extend(c.coeffs.iter().map(|&(t, v)| (start + t, v)));
-            bounds.push(coeffs.len());
-            rhs.push(c.rhs);
-        }
-    }
-    for &ci in &comp.knowledge_rows {
-        let c = rows.knowledge_row(ci);
-        coeffs.extend(c.coeffs.iter().map(|&(t, v)| (local_of(t), v)));
-        bounds.push(coeffs.len());
-        rhs.push(c.rhs);
-    }
-
-    let reduced = preprocess_flat(FlatRows { coeffs, bounds, rhs }, n_local)?;
+    scratch.localise(table, index, rows, comp);
+    let SolveScratch { coeffs, bounds, rhs, n_local, mass, .. } = scratch;
+    let reduced = preprocess_flat(FlatRows { coeffs, bounds, rhs }, *n_local)?;
     let num_constraints = reduced.rows.len();
     let num_free_terms = reduced.num_free();
     if num_free_terms == 0 {
@@ -645,8 +710,7 @@ pub(crate) fn solve_component(
 
     // The accuracy contract, scaled by the component's own record mass.
     let residual = dual.residual(&primal);
-    let mass: f64 = comp.buckets.iter().map(|&b| table.bucket(b).size() as f64).sum();
-    if residual > config.residual_limit * mass {
+    if residual > config.residual_limit * *mass {
         return Err(PmError::SolverFailed { residual });
     }
 

@@ -23,6 +23,7 @@
 //! `P(q, s, b)` — verified in the tests.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Instant;
 
 use pm_anonymize::pseudonym::{PseudonymId, PseudonymTable};
@@ -33,6 +34,7 @@ use pm_microdata::value::Value;
 use pm_solver::stats::StopReason;
 use pm_solver::{Lbfgs, LbfgsConfig, MaxEntDual};
 
+use crate::compile::qi_bucket_index;
 use crate::engine::EngineStats;
 use crate::error::CoreError;
 use crate::knowledge::{Knowledge, KnowledgeBase};
@@ -185,6 +187,7 @@ impl IndividualEngine {
         let max_iterations = if self.max_iterations > 0 { self.max_iterations } else { 5000 };
         let pseudonyms = PseudonymTable::from_interner(table.interner());
         let index = PersonTermIndex::build(table, &pseudonyms);
+        let buckets_of = qi_bucket_index(table);
         let n = table.total_records() as f64;
 
         // --- Invariants (count space: targets are record counts). ---
@@ -192,10 +195,10 @@ impl IndividualEngine {
         let mut rhs: Vec<f64> = Vec::new();
 
         // Person invariants: Σ_{b,s} P(i,·) = 1/N  → count 1.
-        for q in 0..table.interner().distinct() {
+        for (q, buckets) in buckets_of.iter().enumerate() {
             for i in pseudonyms.pseudonyms_of(q) {
                 let mut row = Vec::new();
-                for b in table.buckets_with_qi(q) {
+                for &b in buckets.iter() {
                     for &(s, _) in table.bucket(b).sa_counts() {
                         row.push((index.get(i, s, b).expect("admissible"), 1.0));
                     }
@@ -243,12 +246,9 @@ impl IndividualEngine {
                     // Same as the base engine, expanded over pseudonyms.
                     let mut row = Vec::new();
                     let mut matching = 0usize;
-                    for (q, tuple, count) in table.interner().iter() {
-                        if !antecedent.iter().all(|&(pos, v)| tuple[pos] == v) {
-                            continue;
-                        }
-                        matching += count;
-                        for b in table.buckets_with_qi(q) {
+                    for q in table.interner().matching(antecedent) {
+                        matching += table.interner().count(q);
+                        for &b in buckets_of[q].iter() {
                             for i in pseudonyms.pseudonyms_of(q) {
                                 if let Some(t) = index.get(i, *sa, b) {
                                     row.push((t, 1.0));
@@ -265,19 +265,19 @@ impl IndividualEngine {
                     rhs.push(probability * matching as f64);
                 }
                 Knowledge::IndividualSa { pseudonym, sa, probability } => {
-                    let row = self.person_sa_row(table, &pseudonyms, &index, *pseudonym, &[*sa])?;
+                    let row = person_sa_row(&buckets_of, &pseudonyms, &index, *pseudonym, &[*sa])?;
                     rows.push(row);
                     rhs.push(*probability);
                 }
                 Knowledge::IndividualOneOf { pseudonym, sas } => {
-                    let row = self.person_sa_row(table, &pseudonyms, &index, *pseudonym, sas)?;
+                    let row = person_sa_row(&buckets_of, &pseudonyms, &index, *pseudonym, sas)?;
                     rows.push(row);
                     rhs.push(1.0);
                 }
                 Knowledge::GroupCount { pseudonyms: people, sa, count } => {
                     let mut row = Vec::new();
                     for &i in people {
-                        row.extend(self.person_sa_row(table, &pseudonyms, &index, i, &[*sa])?);
+                        row.extend(person_sa_row(&buckets_of, &pseudonyms, &index, i, &[*sa])?);
                     }
                     rows.push(row);
                     rhs.push(*count as f64);
@@ -341,31 +341,32 @@ impl IndividualEngine {
         })
     }
 
-    /// Row `Σ_b Σ_{s∈sas} P(i, q, s, b)` for one person.
-    fn person_sa_row(
-        &self,
-        table: &PublishedTable,
-        pseudonyms: &PseudonymTable,
-        index: &PersonTermIndex,
-        i: PseudonymId,
-        sas: &[Value],
-    ) -> Result<Vec<(usize, f64)>, CoreError> {
-        if i >= pseudonyms.total() {
-            return Err(CoreError::InvalidKnowledge {
-                detail: format!("pseudonym {i} out of range"),
-            });
-        }
-        let q = pseudonyms.owner(i);
-        let mut row = Vec::new();
-        for b in table.buckets_with_qi(q) {
-            for &s in sas {
-                if let Some(t) = index.get(i, s, b) {
-                    row.push((t, 1.0));
-                }
+}
+
+/// Row `Σ_b Σ_{s∈sas} P(i, q, s, b)` for one person, over the buckets of
+/// its symbol `q` (`buckets_of` is the table's [`qi_bucket_index`]).
+fn person_sa_row(
+    buckets_of: &[Arc<[usize]>],
+    pseudonyms: &PseudonymTable,
+    index: &PersonTermIndex,
+    i: PseudonymId,
+    sas: &[Value],
+) -> Result<Vec<(usize, f64)>, CoreError> {
+    if i >= pseudonyms.total() {
+        return Err(CoreError::InvalidKnowledge {
+            detail: format!("pseudonym {i} out of range"),
+        });
+    }
+    let q = pseudonyms.owner(i);
+    let mut row = Vec::new();
+    for &b in buckets_of[q].iter() {
+        for &s in sas {
+            if let Some(t) = index.get(i, s, b) {
+                row.push((t, 1.0));
             }
         }
-        Ok(row)
     }
+    Ok(row)
 }
 
 #[cfg(test)]

@@ -90,16 +90,6 @@ pub fn data_invariants(
     out
 }
 
-/// The total probability mass implied by the invariants of a set of buckets
-/// (`Σ_b Σ_q P(q, b)`).
-pub fn bucket_mass(table: &PublishedTable, buckets: &[usize]) -> f64 {
-    let n = table.total_records() as f64;
-    buckets
-        .iter()
-        .map(|&b| table.bucket(b).size() as f64 / n)
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -281,13 +271,5 @@ mod tests {
                 "Theorem 2 violated: invariant={is_invariant} in_rowspace={in_rowspace}"
             );
         }
-    }
-
-    #[test]
-    fn bucket_mass_sums_to_one() {
-        let (_, table) = paper_example();
-        let all: Vec<usize> = (0..table.num_buckets()).collect();
-        assert!((bucket_mass(&table, &all) - 1.0).abs() < 1e-12);
-        assert!((bucket_mass(&table, &[0]) - 0.4).abs() < 1e-12);
     }
 }

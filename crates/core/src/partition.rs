@@ -13,8 +13,6 @@
 //! same optimum. A singleton component with no knowledge is precisely an
 //! irrelevant bucket.
 
-use std::collections::BTreeMap;
-
 use crate::constraint::{Constraint, ConstraintOrigin};
 use crate::terms::TermIndex;
 
@@ -96,17 +94,18 @@ pub fn split_separable_knowledge(
             out.push(c);
             continue;
         }
-        // BTreeMap: per-bucket rows emitted in ascending bucket order, so
-        // the split is deterministic for the engine's merge ordering.
-        let mut by_bucket: BTreeMap<usize, Vec<(usize, f64)>> = BTreeMap::new();
-        for &(t, v) in &c.coeffs {
-            by_bucket.entry(index.term(t).b).or_default().push((t, v));
-        }
-        if by_bucket.len() <= 1 {
+        // A stable sort by bucket: per-bucket rows come out in ascending
+        // bucket order, each keeping its coefficients' order, so the split
+        // is deterministic for the engine's merge ordering.
+        let mut by_bucket: Vec<(usize, usize, f64)> =
+            c.coeffs.iter().map(|&(t, v)| (index.bucket_of(t), t, v)).collect();
+        by_bucket.sort_by_key(|&(b, _, _)| b);
+        if by_bucket[0].0 == by_bucket[by_bucket.len() - 1].0 {
             out.push(c);
             continue;
         }
-        for (_, coeffs) in by_bucket {
+        for run in by_bucket.chunk_by(|x, y| x.0 == y.0) {
+            let coeffs = run.iter().map(|&(_, t, v)| (t, v)).collect();
             out.push(Constraint { coeffs, rhs: 0.0, origin: c.origin.clone() });
         }
     }
@@ -168,7 +167,7 @@ fn components_from(rows: &[(usize, &Constraint)], index: &TermIndex) -> Vec<Comp
     for &(_, c) in rows {
         let mut first: Option<usize> = None;
         for &(t, _) in &c.coeffs {
-            let b = index.term(t).b;
+            let b = index.bucket_of(t);
             match first {
                 None => first = Some(b),
                 Some(f) => uf.union(f, b),
@@ -193,7 +192,7 @@ fn components_from(rows: &[(usize, &Constraint)], index: &TermIndex) -> Vec<Comp
     // Attach knowledge rows to their component.
     for &(ci, c) in rows {
         if let Some(&(t, _)) = c.coeffs.first() {
-            let b = index.term(t).b;
+            let b = index.bucket_of(t);
             let comp = comp_id[root_of[b]];
             components[comp].knowledge_rows.push(ci);
         }

@@ -23,13 +23,15 @@ pub type SaId = usize;
 /// every distinct tuple; it is only deep-copied when a *new* tuple is
 /// observed on a shared interner.
 ///
-/// The reverse map is derived state — `tuples` is ground truth — so it is
-/// built lazily on first lookup. An interner deserialized from a snapshot
-/// that only ever serves by id never pays for hashing the symbol table.
+/// The reverse map and the per-value bitsets are derived state — `tuples`
+/// is ground truth — so each is built lazily on first use. An interner
+/// deserialized from a snapshot that only ever serves by id never pays for
+/// hashing the symbol table.
 #[derive(Debug, Clone, Default)]
 struct TupleTable {
     tuples: Vec<Vec<Value>>,
     lookup: OnceLock<HashMap<Vec<Value>, QiId>>,
+    bitsets: OnceLock<ValueBitsets>,
 }
 
 impl TupleTable {
@@ -45,6 +47,54 @@ impl TupleTable {
     fn map_mut(&mut self) -> &mut HashMap<Vec<Value>, QiId> {
         self.map();
         self.lookup.get_mut().expect("hydrated by map()")
+    }
+
+    /// The per-value bitsets, built from `tuples` on first use.
+    fn bitsets(&self) -> &ValueBitsets {
+        self.bitsets.get_or_init(|| {
+            let mut sets = ValueBitsets::default();
+            for (id, tuple) in self.tuples.iter().enumerate() {
+                sets.insert(id, tuple);
+            }
+            sets
+        })
+    }
+}
+
+/// One bitset over symbol ids per (QI position, value): bit `q` of
+/// `sets[pos][v]` is set iff symbol `q`'s tuple holds `v` at `pos`. A set
+/// stores words only up to its highest member — missing words are zero —
+/// so appending a symbol touches only the sets of its own values.
+#[derive(Debug, Clone, Default)]
+struct ValueBitsets {
+    sets: Vec<Vec<Vec<u64>>>,
+}
+
+impl ValueBitsets {
+    fn insert(&mut self, id: QiId, tuple: &[Value]) {
+        if self.sets.len() < tuple.len() {
+            self.sets.resize_with(tuple.len(), Vec::new);
+        }
+        for (by_value, &v) in self.sets.iter_mut().zip(tuple) {
+            let v = v as usize;
+            if by_value.len() <= v {
+                by_value.resize_with(v + 1, Vec::new);
+            }
+            let words = &mut by_value[v];
+            if words.len() <= id / 64 {
+                words.resize(id / 64 + 1, 0);
+            }
+            words[id / 64] |= 1 << (id % 64);
+        }
+    }
+
+    /// The set of `value` at `pos`; empty for a position or value no
+    /// symbol holds.
+    fn set(&self, pos: usize, value: Value) -> &[u64] {
+        self.sets
+            .get(pos)
+            .and_then(|by_value| by_value.get(value as usize))
+            .map_or(&[], Vec::as_slice)
     }
 }
 
@@ -96,7 +146,7 @@ impl QiInterner {
         assert_eq!(tuples.len(), counts.len(), "one count per interned tuple");
         let total = counts.iter().sum();
         QiInterner {
-            table: Arc::new(TupleTable { tuples, lookup: OnceLock::new() }),
+            table: Arc::new(TupleTable { tuples, ..TupleTable::default() }),
             counts,
             total,
         }
@@ -115,6 +165,9 @@ impl QiInterner {
         let table = Arc::make_mut(&mut self.table);
         let id = table.tuples.len();
         table.map_mut().insert(tuple.to_vec(), id);
+        if let Some(sets) = table.bitsets.get_mut() {
+            sets.insert(id, tuple);
+        }
         table.tuples.push(tuple.to_vec());
         self.counts.push(1);
         id
@@ -169,6 +222,41 @@ impl QiInterner {
         } else {
             self.counts[id] as f64 / self.total as f64
         }
+    }
+
+    /// Every symbol whose tuple holds value `v` at position `pos` for each
+    /// `(pos, v)` of `antecedent`, ascending by id — the symbols a
+    /// Section 4.1 antecedent `Qv` matches. Symbols retracted to count 0
+    /// still match (ids are stable); an empty antecedent matches every
+    /// symbol, and a position or value no symbol holds matches none.
+    ///
+    /// This is a join over per-(position, value) bitsets, built on the
+    /// first call and shared by every clone of the interner: one AND per
+    /// condition over `distinct / 64` words instead of a scan of every
+    /// tuple.
+    #[must_use]
+    pub fn matching(&self, antecedent: &[(usize, Value)]) -> Vec<QiId> {
+        let Some((&(pos, v), rest)) = antecedent.split_first() else {
+            return (0..self.distinct()).collect();
+        };
+        let sets = self.table.bitsets();
+        let mut words = sets.set(pos, v).to_vec();
+        for &(pos, v) in rest {
+            let other = sets.set(pos, v);
+            words.truncate(other.len());
+            for (w, o) in words.iter_mut().zip(other) {
+                *w &= o;
+            }
+        }
+        let mut ids = Vec::new();
+        for (i, &w) in words.iter().enumerate() {
+            let mut w = w;
+            while w != 0 {
+                ids.push(i * 64 + w.trailing_zeros() as usize);
+                w &= w - 1;
+            }
+        }
+        ids
     }
 
     /// Iterates `(id, tuple, count)`.

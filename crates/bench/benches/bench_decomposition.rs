@@ -1,9 +1,9 @@
 //! Ablation of the Section 5.5 optimisation: joint solve vs irrelevant-
 //! bucket closed form + connected-component decomposition.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use pm_bench::pipeline::{prepare, Scale};
-use privacy_maxent::engine::{Engine, EngineConfig};
+use privacy_maxent::engine::Engine;
 use privacy_maxent::knowledge::KnowledgeBase;
 
 fn bench(c: &mut Criterion) {
@@ -12,15 +12,13 @@ fn bench(c: &mut Criterion) {
     let kb = KnowledgeBase::from_rules(picked.iter().copied(), exp.data.schema()).unwrap();
     let mut group = c.benchmark_group("section55_decomposition");
     group.sample_size(10);
-    for decompose in [false, true] {
-        let label = if decompose { "decomposed" } else { "joint" };
-        group.bench_with_input(BenchmarkId::from_parameter(label), &decompose, |b, &d| {
-            b.iter(|| {
-                let cfg = EngineConfig::builder().decompose(d).build();
-                Engine::new(cfg).estimate(&exp.table, &kb).unwrap()
-            })
-        });
-    }
+    let engine = Engine::default();
+    group.bench_function("joint", |b| {
+        b.iter(|| engine.estimate_joint(&exp.table, &kb).unwrap())
+    });
+    group.bench_function("decomposed", |b| {
+        b.iter(|| engine.estimate(&exp.table, &kb).unwrap())
+    });
     group.finish();
 }
 

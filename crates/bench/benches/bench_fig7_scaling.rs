@@ -10,7 +10,7 @@ use privacy_maxent::engine::{Engine, EngineConfig};
 use privacy_maxent::knowledge::KnowledgeBase;
 
 fn perf_config() -> EngineConfig {
-    EngineConfig::builder().decompose(false).tolerance(1e-4).build()
+    EngineConfig::builder().tolerance(1e-4).build()
 }
 
 fn vs_knowledge(c: &mut Criterion) {
@@ -21,7 +21,7 @@ fn vs_knowledge(c: &mut Criterion) {
         let picked = exp.rules.top_k(k / 2, k - k / 2);
         let kb = KnowledgeBase::from_rules(picked.iter().copied(), exp.data.schema()).unwrap();
         group.bench_with_input(BenchmarkId::from_parameter(k), &kb, |b, kb| {
-            b.iter(|| Engine::new(perf_config()).estimate(&exp.table, kb).unwrap())
+            b.iter(|| Engine::new(perf_config()).estimate_joint(&exp.table, kb).unwrap())
         });
     }
     group.finish();
@@ -41,7 +41,7 @@ fn vs_buckets(c: &mut Criterion) {
         let picked = rules.top_k(25, 25);
         let kb = KnowledgeBase::from_rules(picked.iter().copied(), data.schema()).unwrap();
         group.bench_with_input(BenchmarkId::from_parameter(n / 5), &(table, kb), |b, (t, kb)| {
-            b.iter(|| Engine::new(perf_config()).estimate(t, kb).unwrap())
+            b.iter(|| Engine::new(perf_config()).estimate_joint(t, kb).unwrap())
         });
     }
     group.finish();

@@ -35,13 +35,14 @@ pub struct Curve {
     pub points: Vec<AccuracyPoint>,
 }
 
-/// Performance-experiment config: the paper's timing runs report solves
-/// that *converge*, so the dual tolerance is the practical 1e-4 (count
-/// space) rather than the accuracy experiments' 1e-9 — boundary-heavy
-/// systems then terminate inside the iteration budget instead of polishing
-/// digits the timing axis cannot show.
+/// Performance-experiment config for [`Engine::estimate_joint`]: the
+/// paper's timing runs report solves that *converge*, so the dual tolerance
+/// is the practical 1e-4 (count space) rather than the accuracy
+/// experiments' 1e-9 — boundary-heavy systems then terminate inside the
+/// iteration budget instead of polishing digits the timing axis cannot
+/// show.
 fn perf_config() -> EngineConfig {
-    EngineConfig::builder().decompose(false).tolerance(1e-4).build()
+    EngineConfig::builder().tolerance(1e-4).build()
 }
 
 fn k_grid(scale: Scale) -> Vec<usize> {
@@ -164,7 +165,12 @@ pub fn figure7a(scale: Scale, seed: u64) -> Vec<PerfPoint> {
     println!("{:>12}  {:>12}  {:>10}", "#constraints", "time(s)", "iterations");
     for &k in &grid {
         let picked = exp.rules.top_k(k / 2, k - k / 2);
-        let (_, stats) = accuracy_for_rules(&exp, &picked, perf_config());
+        let kb = KnowledgeBase::from_rules(picked.iter().copied(), exp.data.schema())
+            .expect("mined rules valid");
+        let stats = Engine::new(perf_config())
+            .estimate_joint(&exp.table, &kb)
+            .expect("mined knowledge feasible")
+            .stats;
         let point = PerfPoint {
             x: k,
             time: stats.solver_elapsed(),
@@ -213,7 +219,7 @@ pub fn figure7bc(scale: Scale, seed: u64) -> Vec<(usize, Vec<PerfPoint>)> {
             let picked = rules.top_k(kc / 2, kc - kc / 2);
             let kb = KnowledgeBase::from_rules(picked.iter().copied(), data.schema())
                 .expect("mined rules valid");
-            let est = Engine::new(perf_config()).estimate(&table, &kb).expect("feasible");
+            let est = Engine::new(perf_config()).estimate_joint(&table, &kb).expect("feasible");
             let point = PerfPoint {
                 x: table.num_buckets(),
                 time: est.stats.solver_elapsed(),

@@ -46,10 +46,11 @@
 //!   else (including solved overlay slices, which live in epoch-stable
 //!   count space) is carried verbatim.
 //!
-//! [`Analyst::new`] survives as a thin wrapper (build + open) and the
-//! one-shot [`Engine::estimate`] as a throwaway session over an internal
-//! artifact shell; both produce bit-identical output to the pre-artifact
-//! API.
+//! [`Analyst::new`] is a thin wrapper (build + open), and the one-shot
+//! [`Engine::estimate`] is a throwaway session: build, open, add the whole
+//! knowledge base, refresh once. Every session decomposes along Section
+//! 5.5's components; the paper's unoptimised joint solve is not a session
+//! mode but the one-shot [`Engine::estimate_joint`].
 //!
 //! # Why component-granular invalidation is sound
 //!
@@ -84,8 +85,9 @@
 //! [`CompiledTable::build`]: crate::compiled::CompiledTable::build
 //! [`CompiledTable::apply`]: crate::compiled::CompiledTable::apply
 //! [`Engine::estimate`]: crate::engine::Engine::estimate
+//! [`Engine::estimate_joint`]: crate::engine::Engine::estimate_joint
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -102,8 +104,7 @@ use crate::compile::compile_items_parallel;
 use crate::compiled::CompiledTable;
 use crate::constraint::{Constraint, ConstraintOrigin};
 use crate::engine::{
-    solve_component, uniform_bucket_values, ComponentSolution, EngineConfig, EngineStats,
-    Estimate, SolveScratch,
+    solve_component, ComponentSolution, EngineConfig, EngineStats, Estimate, SolveScratch,
 };
 use crate::error::PmError;
 use crate::individuals::{IndividualEngine, PersonEstimate};
@@ -263,9 +264,9 @@ struct KnowledgeEntry {
 /// wrapper over this type.
 #[derive(Debug)]
 pub struct Analyst {
-    /// The shared knowledge-independent artifact.
+    /// The shared knowledge-independent artifact; its [`EngineConfig`] is
+    /// the session's.
     artifact: Arc<CompiledTable>,
-    config: EngineConfig,
     entries: Vec<KnowledgeEntry>,
     next_handle: u64,
     /// Buckets touched by deltas since the last successful refresh.
@@ -306,15 +307,13 @@ impl fmt::Debug for KnowledgeEntry {
 }
 
 impl Analyst {
-    /// Compiles `table` and opens a session over the fresh artifact — the
-    /// historical all-in-one entry point, now a thin wrapper over
-    /// [`CompiledTable::build`] + [`Analyst::open`] with bit-identical
-    /// output. Callers opening more than one session over the same table
-    /// should build the artifact once and share it.
+    /// Compiles `table` and opens a session over the fresh artifact — a
+    /// thin wrapper over [`CompiledTable::build`] + [`Analyst::open`].
+    /// Callers opening more than one session over the same table should
+    /// build the artifact once and share it.
     ///
-    /// The only fallible part is the baseline solve, and only when
-    /// [`EngineConfig::decompose`] is off (the joint invariant system then
-    /// goes through the numeric solver instead of the closed form).
+    /// Fails only if the build does, which it never does today (see
+    /// [`CompiledTable::build`]).
     pub fn new(table: PublishedTable, config: EngineConfig) -> Result<Self, PmError> {
         Ok(Self::open(Arc::new(CompiledTable::build(table, config)?)))
     }
@@ -326,79 +325,11 @@ impl Analyst {
     /// an empty knowledge set, an empty overlay, and serves the artifact's
     /// knowledge-free baseline estimate immediately.
     pub fn open(artifact: Arc<CompiledTable>) -> Self {
-        let config = artifact.config().clone();
-        Self::open_inner(artifact, config)
-    }
-
-    /// [`Analyst::open`] with per-session [`EngineConfig`] overrides
-    /// (tolerance, thread count, …).
-    ///
-    /// The artifact bakes in [`EngineConfig::decompose`] and
-    /// [`EngineConfig::concise_invariants`] — its invariant rows and
-    /// baseline were built under them — so a `config` disagreeing on either
-    /// returns [`PmError::ArtifactMismatch`] instead of silently serving
-    /// estimates from a mismatched artifact. For a `decompose = false`
-    /// artifact the baked-in baseline is additionally a *numeric* solve, so
-    /// the solver knobs (`tolerance`, `max_iterations`) must match too;
-    /// under decomposition the baseline is the closed form and those stay
-    /// freely overridable.
-    pub fn open_with(
-        artifact: Arc<CompiledTable>,
-        config: EngineConfig,
-    ) -> Result<Self, PmError> {
-        let built = artifact.config();
-        if config.decompose != built.decompose {
-            return Err(PmError::ArtifactMismatch {
-                detail: format!(
-                    "artifact was built with decompose = {}, session wants {}",
-                    built.decompose, config.decompose
-                ),
-            });
-        }
-        if config.concise_invariants != built.concise_invariants {
-            return Err(PmError::ArtifactMismatch {
-                detail: format!(
-                    "artifact was built with concise_invariants = {}, session wants {}",
-                    built.concise_invariants, config.concise_invariants
-                ),
-            });
-        }
-        // Without decomposition the baseline is a *numeric* solve baked in
-        // under the artifact's solver knobs, so a session disagreeing on
-        // any of them would serve baseline bits its own config never
-        // produces. (Under decomposition the baseline is the closed form —
-        // no solver touched it — so per-session solver overrides are fine.)
-        if !built.decompose {
-            let mismatch = if config.tolerance != built.tolerance {
-                Some(format!("tolerance ({} vs {})", built.tolerance, config.tolerance))
-            } else if config.max_iterations != built.max_iterations {
-                Some(format!(
-                    "max_iterations ({} vs {})",
-                    built.max_iterations, config.max_iterations
-                ))
-            } else {
-                None
-            };
-            if let Some(knob) = mismatch {
-                return Err(PmError::ArtifactMismatch {
-                    detail: format!(
-                        "the artifact's decompose = false baseline was solved \
-                         numerically under its own {knob}; rebuild the artifact \
-                         with the session's config instead"
-                    ),
-                });
-            }
-        }
-        Ok(Self::open_inner(artifact, config))
-    }
-
-    fn open_inner(artifact: Arc<CompiledTable>, config: EngineConfig) -> Self {
         let estimate = artifact.baseline_estimate();
-        let last_refresh = artifact.baseline_refresh().clone();
+        let last_refresh = artifact.baseline_refresh();
         let overlay = FlatOverlay::new(artifact.table().num_buckets(), artifact.epoch());
         Self {
             artifact,
-            config,
             entries: Vec::new(),
             next_handle: 0,
             dirty: BTreeSet::new(),
@@ -414,18 +345,6 @@ impl Analyst {
         }
     }
 
-    /// A throwaway session over an artifact *shell* (no baseline solved) —
-    /// the one-shot `Engine::estimate` path. Every bucket starts dirty and
-    /// `estimate` is a zero placeholder until the first refresh, which
-    /// skips the baseline solve the immediate full refresh would discard.
-    pub(crate) fn new_deferred(table: PublishedTable, config: EngineConfig) -> Self {
-        let artifact = Arc::new(CompiledTable::build_shell(table, config.clone()));
-        let mut session = Self::open_inner(artifact, config);
-        session.dirty = (0..session.artifact.table().num_buckets()).collect();
-        session.stale = true;
-        session
-    }
-
     /// Forks the session for speculative what-if deltas.
     ///
     /// The fork shares the artifact (an `Arc` bump) and starts from this
@@ -438,7 +357,6 @@ impl Analyst {
     pub fn fork(&self) -> Self {
         Self {
             artifact: Arc::clone(&self.artifact),
-            config: self.config.clone(),
             entries: self.entries.clone(),
             next_handle: self.next_handle,
             dirty: self.dirty.clone(),
@@ -626,60 +544,56 @@ impl Analyst {
         // *membership* in a touched bucket flipped (buckets_of /
         // admissibility), or its SA value's membership flipped in a bucket
         // holding a matching symbol. Everything else is provably
-        // bit-unchanged. With decomposition off there is one joint system
-        // anyway — recompile everything and dirty every bucket.
+        // bit-unchanged.
         let interner = new.table().interner();
         let matches = |antecedent: &[(usize, Value)], q: usize| {
             let tuple = interner.tuple(q);
             antecedent.iter().all(|&(pos, v)| tuple[pos] == v)
         };
-        let affected: Vec<usize> = if self.config.decompose {
-            // Symbols whose counts changed (delta records) plus symbols
-            // whose membership in a touched bucket flipped.
-            let mut cand: BTreeSet<usize> = delta.qi_symbols().iter().copied().collect();
-            // Per touched bucket: SA values whose membership flipped, with
-            // the bucket's pre/post symbol pool for the matching test.
-            let mut sa_flips: Vec<(BTreeSet<Value>, Vec<usize>)> = Vec::new();
-            for &b in touched {
-                let old_b = old.table().bucket(b);
-                let new_b = new.table().bucket(b);
-                let mut pool: Vec<usize> = Vec::new();
-                for &(q, _) in old_b.qi_counts().iter().chain(new_b.qi_counts()) {
-                    if old_b.contains_qi(q) != new_b.contains_qi(q) {
-                        cand.insert(q);
-                    }
-                    pool.push(q);
+        // Symbols whose counts changed (delta records) plus symbols
+        // whose membership in a touched bucket flipped.
+        let mut cand: BTreeSet<usize> = delta.qi_symbols().iter().copied().collect();
+        // Per touched bucket: SA values whose membership flipped, with
+        // the bucket's pre/post symbol pool for the matching test.
+        let mut sa_flips: Vec<(BTreeSet<Value>, Vec<usize>)> = Vec::new();
+        for &b in touched {
+            let old_b = old.table().bucket(b);
+            let new_b = new.table().bucket(b);
+            let mut pool: Vec<usize> = Vec::new();
+            for &(q, _) in old_b.qi_counts().iter().chain(new_b.qi_counts()) {
+                if old_b.contains_qi(q) != new_b.contains_qi(q) {
+                    cand.insert(q);
                 }
-                pool.sort_unstable();
-                pool.dedup();
-                let flips: BTreeSet<Value> = old_b
-                    .sa_counts()
-                    .iter()
-                    .chain(new_b.sa_counts())
-                    .map(|&(s, _)| s)
-                    .filter(|&s| old_b.contains_sa(s) != new_b.contains_sa(s))
-                    .collect();
-                if !flips.is_empty() {
-                    sa_flips.push((flips, pool));
-                }
+                pool.push(q);
             }
-            self.entries
+            pool.sort_unstable();
+            pool.dedup();
+            let flips: BTreeSet<Value> = old_b
+                .sa_counts()
                 .iter()
-                .enumerate()
-                .filter(|(_, e)| {
-                    let Knowledge::Conditional { antecedent, sa, .. } = &e.item else {
-                        return false;
-                    };
-                    cand.iter().any(|&q| matches(antecedent, q))
-                        || sa_flips.iter().any(|(flips, pool)| {
-                            flips.contains(sa) && pool.iter().any(|&q| matches(antecedent, q))
-                        })
-                })
-                .map(|(i, _)| i)
-                .collect()
-        } else {
-            (0..self.entries.len()).collect()
-        };
+                .chain(new_b.sa_counts())
+                .map(|&(s, _)| s)
+                .filter(|&s| old_b.contains_sa(s) != new_b.contains_sa(s))
+                .collect();
+            if !flips.is_empty() {
+                sa_flips.push((flips, pool));
+            }
+        }
+        let affected: Vec<usize> = self
+            .entries
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| {
+                let Knowledge::Conditional { antecedent, sa, .. } = &e.item else {
+                    return false;
+                };
+                cand.iter().any(|&q| matches(antecedent, q))
+                    || sa_flips.iter().any(|(flips, pool)| {
+                        flips.contains(sa) && pool.iter().any(|&q| matches(antecedent, q))
+                    })
+            })
+            .map(|(i, _)| i)
+            .collect();
 
         // Recompile affected entries against the new epoch. Atomic: any
         // failure (now-unmatchable antecedent) leaves the session exactly
@@ -691,7 +605,7 @@ impl Analyst {
             new.table(),
             new.term_index(),
             new.qi_buckets(),
-            self.config.threads,
+            self.artifact.config().threads,
         )?;
 
         // ---- Commit. ----
@@ -748,9 +662,6 @@ impl Analyst {
         }
 
         self.dirty.extend(touched.iter().copied());
-        if !self.config.decompose {
-            self.dirty.extend(0..new.table().num_buckets());
-        }
         for &b in touched {
             // Dirty anyway, and the bucket's term range may have resized.
             self.overlay.remove(b);
@@ -790,12 +701,6 @@ impl Analyst {
         self.artifact.table()
     }
 
-    /// The engine configuration the session was opened with.
-    #[must_use]
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
-    }
-
     /// Adds one piece of distribution knowledge, compiling it eagerly and
     /// dirtying the components its bucket footprint touches. Returns a
     /// stable handle for later [`Analyst::remove_knowledge`].
@@ -831,7 +736,7 @@ impl Analyst {
             self.artifact.table(),
             self.artifact.term_index(),
             self.artifact.qi_buckets(),
-            self.config.threads,
+            self.artifact.config().threads,
         )?;
         let index = self.artifact.term_index();
         let mut handles = Vec::with_capacity(items.len());
@@ -1009,18 +914,8 @@ impl Analyst {
         // the whole-table partition is not. A rebase that left every entry
         // bit-unchanged keeps `partition_stale` false, so the steady-state
         // delta path reuses the cached partition verbatim.
-        let fresh: Option<Vec<Component>> = if !(self.stale && self.partition_stale) {
-            None
-        } else if self.config.decompose {
-            Some(knowledge_components(&krows, artifact.num_invariants(), index))
-        } else {
-            // One pseudo-component holding everything; knowledge rows all
-            // attach to it (no incrementality without Section 5.5).
-            Some(vec![Component {
-                buckets: (0..artifact.table().num_buckets()).collect(),
-                knowledge_rows: (0..krows.len()).map(|i| artifact.num_invariants() + i).collect(),
-            }])
-        };
+        let fresh: Option<Vec<Component>> = (self.stale && self.partition_stale)
+            .then(|| knowledge_components(&krows, artifact.num_invariants(), index));
         let components: &[Component] = match (&fresh, &self.components) {
             (Some(c), _) | (None, Some(c)) => c,
             (None, None) => artifact.baseline_components(),
@@ -1035,7 +930,7 @@ impl Analyst {
             if !comp.buckets.iter().any(|b| self.dirty.contains(b)) {
                 continue;
             }
-            if comp.is_irrelevant() && self.config.decompose {
+            if comp.is_irrelevant() {
                 dirty_closed.push(i);
             } else {
                 dirty_numeric.push(i);
@@ -1048,8 +943,10 @@ impl Analyst {
         // multiplicities). Key each system by its hash, computed in
         // per-worker scratch, and confirm every repeat byte for byte
         // against the first member of its group, re-localising both rather
-        // than holding every system for the whole refresh.
-        let config = &self.config;
+        // than holding every system for the whole refresh. Grouping visits
+        // each hash's positions together, so a representative stays
+        // localised across its repeats.
+        let config = artifact.config();
         let table = artifact.table();
         let keys = pm_parallel::map_with(
             config.threads,
@@ -1119,25 +1016,15 @@ impl Analyst {
 
         // --- Merge; only reached when every dirty solve succeeded. ---
         // Dirty irrelevant components revert to the artifact's Theorem 5
-        // baseline: dropping the overlay entry *is* the closed form. A
-        // one-shot shell has no baseline, so it materialises the closed
-        // form into the overlay instead (identical values either way).
+        // baseline: dropping the overlay entry *is* the closed form.
         for &i in &dirty_closed {
             for &b in &components[i].buckets {
-                if artifact.has_baseline() {
-                    self.overlay.remove(b);
-                } else {
-                    self.overlay.insert(b, &uniform_bucket_values(table, index, b));
-                }
+                self.overlay.remove(b);
             }
         }
         let mut estats = EngineStats {
             num_components: components.len(),
-            num_irrelevant: if self.config.decompose {
-                components.iter().filter(|c| c.is_irrelevant()).count()
-            } else {
-                0
-            },
+            num_irrelevant: components.iter().filter(|c| c.is_irrelevant()).count(),
             ..Default::default()
         };
         // Each member of a group takes its representative's solution, in
@@ -1204,8 +1091,8 @@ impl Analyst {
                 kb.push(item.clone())?;
             }
             let engine = IndividualEngine {
-                tolerance: self.config.tolerance,
-                max_iterations: self.config.max_iterations,
+                tolerance: config.tolerance,
+                max_iterations: config.max_iterations,
             };
             self.person = Some(engine.estimate(self.artifact.table(), &kb)?);
             self.individuals_stale = false;
@@ -1291,9 +1178,8 @@ impl Analyst {
     }
 
     /// The knowledge tail of the virtual row list, rebuilt from the live
-    /// entries: origins re-indexed to current positions, with the
-    /// separable-zero-row split the one-shot engine applies (only under
-    /// decomposition, as there).
+    /// entries: origins re-indexed to current positions, then split where a
+    /// row is separable ([`split_separable_knowledge`]).
     fn build_knowledge_rows(&self) -> Vec<Constraint> {
         let krows: Vec<Constraint> = self
             .entries
@@ -1305,11 +1191,7 @@ impl Analyst {
                 origin: ConstraintOrigin::Knowledge { index: i },
             })
             .collect();
-        if self.config.decompose {
-            split_separable_knowledge(krows, self.artifact.term_index())
-        } else {
-            krows
-        }
+        split_separable_knowledge(krows, self.artifact.term_index())
     }
 
     /// Materialises the served estimate: per bucket, the session's overlay
@@ -1358,16 +1240,24 @@ impl Analyst {
 /// when none does). `keys` are the systems' hashes; `same(r, i)` confirms
 /// that representative `r`'s system is byte-equal to `i`'s. A hash match
 /// alone never groups, so a collision between unequal systems solves both.
+///
+/// Positions are visited sorted by `(hash, position)`, one run of equal
+/// hashes at a time, so `same` sees each run's representatives
+/// consecutively.
 fn group_systems(keys: &[u64], mut same: impl FnMut(usize, usize) -> bool) -> Vec<usize> {
-    let mut reps_by_key: HashMap<u64, Vec<usize>> = HashMap::new();
-    let mut group = Vec::with_capacity(keys.len());
-    for (i, &key) in keys.iter().enumerate() {
-        let candidates = reps_by_key.entry(key).or_default();
-        let rep = candidates.iter().copied().find(|&r| same(r, i));
-        group.push(rep.unwrap_or_else(|| {
-            candidates.push(i);
-            i
-        }));
+    let mut order: Vec<usize> = (0..keys.len()).collect();
+    order.sort_unstable_by_key(|&i| (keys[i], i));
+    let mut group = vec![0; keys.len()];
+    let mut reps = Vec::new();
+    for run in order.chunk_by(|&a, &b| keys[a] == keys[b]) {
+        reps.clear();
+        for &i in run {
+            let rep = reps.iter().copied().find(|&r| same(r, i));
+            group[i] = rep.unwrap_or_else(|| {
+                reps.push(i);
+                i
+            });
+        }
     }
     group
 }
@@ -1430,65 +1320,6 @@ mod tests {
                 from_new.estimate().term_values()
             );
         }
-    }
-
-    /// `open_with` rejects configs the artifact was not built under.
-    #[test]
-    fn open_with_rejects_artifact_mismatch() {
-        let (_, table) = paper_example();
-        let artifact =
-            Arc::new(CompiledTable::build(table, EngineConfig::default()).unwrap());
-        // Per-session knobs are fine.
-        let session = Analyst::open_with(
-            Arc::clone(&artifact),
-            EngineConfig::builder().threads(2).build(),
-        )
-        .unwrap();
-        assert_eq!(session.config().threads, 2);
-        // Artifact-baked knobs are not.
-        assert!(matches!(
-            Analyst::open_with(
-                Arc::clone(&artifact),
-                EngineConfig::builder().decompose(false).build(),
-            ),
-            Err(PmError::ArtifactMismatch { .. })
-        ));
-        assert!(matches!(
-            Analyst::open_with(
-                artifact,
-                EngineConfig::builder().concise_invariants(false).build(),
-            ),
-            Err(PmError::ArtifactMismatch { .. })
-        ));
-        // A decompose = false artifact additionally bakes the solver knobs
-        // into its numeric baseline.
-        let (_, table) = paper_example();
-        let joint = Arc::new(
-            CompiledTable::build(
-                table,
-                EngineConfig::builder().decompose(false).build(),
-            )
-            .unwrap(),
-        );
-        assert!(Analyst::open_with(
-            Arc::clone(&joint),
-            EngineConfig::builder().decompose(false).threads(2).build(),
-        )
-        .is_ok());
-        assert!(matches!(
-            Analyst::open_with(
-                Arc::clone(&joint),
-                EngineConfig::builder().decompose(false).tolerance(1e-4).build(),
-            ),
-            Err(PmError::ArtifactMismatch { .. })
-        ));
-        assert!(matches!(
-            Analyst::open_with(
-                joint,
-                EngineConfig::builder().decompose(false).max_iterations(500).build(),
-            ),
-            Err(PmError::ArtifactMismatch { .. })
-        ));
     }
 
     /// Forks evolve independently: the parent is unaffected by the fork's

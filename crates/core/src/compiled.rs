@@ -55,8 +55,7 @@ use crate::compile::qi_bucket_index;
 use crate::constraint::Constraint;
 use crate::delta::{AppliedDelta, DeltaOp, TableDelta};
 use crate::engine::{
-    counts_to_probabilities, solve_component, uniform_bucket_values, EngineConfig,
-    EngineStats, Estimate, RowSet, SolveScratch,
+    counts_to_probabilities, uniform_bucket_values, EngineConfig, EngineStats, Estimate, RowSet,
 };
 use crate::error::PmError;
 use crate::invariants::bucket_invariant_rows;
@@ -98,9 +97,11 @@ pub struct CompileStats {
     /// [`CompiledTable::build`], only the delta's footprint for a
     /// [`CompiledTable::apply`].
     pub recompiled_buckets: usize,
-    /// Wall time of the whole build (index + invariants + baseline solve).
+    /// Wall time of the whole build (index + invariants + baseline).
     pub build: Duration,
-    /// Portion of `build` spent solving the knowledge-free baseline.
+    /// Portion of `build` spent on the knowledge-free baseline: the
+    /// Theorem 5 closed form of every bucket (of the touched buckets, for
+    /// an [`CompiledTable::apply`]).
     pub baseline_solve: Duration,
 }
 
@@ -136,7 +137,7 @@ pub(crate) struct CoreState {
     pub(crate) table: PublishedTable,
     pub(crate) index: Arc<TermIndex>,
     /// Per-bucket Theorem-5 baseline values (count space), aligned with
-    /// each bucket's term range. Empty slices in the internal shell.
+    /// each bucket's term range.
     pub(crate) bucket_baselines: Vec<Arc<[f64]>>,
 }
 
@@ -188,22 +189,12 @@ pub struct CompiledTable {
     /// one `Arc` per symbol so epochs share unchanged entries. Derived
     /// state, like `bucket_rows`.
     qi_buckets: OnceLock<Vec<Arc<[usize]>>>,
-    /// The knowledge-free partition, built on first use: with
-    /// [`EngineConfig::decompose`], every bucket is its own irrelevant
-    /// component; without it, one joint pseudo-component.
+    /// The knowledge-free partition, built on first use: every bucket is
+    /// its own irrelevant component (Lemma 2).
     baseline_components: OnceLock<Vec<Component>>,
     /// The baseline assembled into a served estimate, built on first use —
     /// what a freshly opened session answers queries from.
     baseline_estimate: OnceLock<Arc<Estimate>>,
-    /// Engine statistics describing the baseline solve (for the lazy
-    /// estimate assembly).
-    baseline_estats: EngineStats,
-    /// What the baseline solve did, reported as a fresh session's
-    /// "last refresh".
-    baseline_refresh: RefreshStats,
-    /// `false` for the internal one-shot shell ([`Self::build_shell`]),
-    /// whose baseline is a zero placeholder that must never be served.
-    has_baseline: bool,
     stats: CompileStats,
 }
 
@@ -213,89 +204,16 @@ impl CompiledTable {
     /// per-bucket index, the QI→bucket inverted index, the knowledge-free
     /// baseline partition, and the baseline (Theorem 5) solution.
     ///
-    /// Only the baseline solve is fallible, and only when
-    /// [`EngineConfig::decompose`] is off (the joint invariant system then
-    /// goes through the numeric solver instead of the closed form).
+    /// Theorem 5 makes the knowledge-free optimum the per-bucket closed
+    /// form under any partition, so nothing here solves numerically and the
+    /// build never fails today; the `Result` leaves room for a fallible
+    /// stage without breaking callers.
     ///
     /// Wrap the result in an [`Arc`] and hand it to
     /// [`crate::analyst::Analyst::open`] from as many threads as you like.
     /// When the table later changes, advance the artifact with
     /// [`CompiledTable::apply`] instead of rebuilding.
     pub fn build(table: PublishedTable, config: EngineConfig) -> Result<Self, PmError> {
-        let start = Instant::now(); // pm-audit: allow(determinism, reason = "wall-clock telemetry only: feeds solve/build duration stats, never the estimate bytes")
-        let mut artifact = Self::build_shell(table, config);
-        artifact.solve_baseline()?;
-        artifact.stats.build = start.elapsed();
-        Ok(artifact)
-    }
-
-    /// Solves (or closed-forms) the knowledge-free baseline into
-    /// `bucket_baselines`, upgrading a shell into a servable artifact.
-    fn solve_baseline(&mut self) -> Result<(), PmError> {
-        let baseline_start = Instant::now(); // pm-audit: allow(determinism, reason = "wall-clock telemetry only: feeds solve/build duration stats, never the estimate bytes")
-        let mut estats = EngineStats::default();
-        let mut stats = RefreshStats::default();
-        let core = self.core();
-        let m = core.table.num_buckets();
-        let baselines: Vec<Arc<[f64]>> = if self.config.decompose {
-            stats.closed_form = m;
-            estats.num_irrelevant = m;
-            estats.num_components = m;
-            (0..m)
-                .map(|b| Arc::from(uniform_bucket_values(&core.table, &core.index, b)))
-                .collect()
-        } else {
-            // One joint pseudo-component through the numeric path — the
-            // exact system a knowledge-free `Engine::estimate` would solve.
-            let comp = joint_component(m);
-            let rows = self.rows(&[]);
-            let sol = solve_component(
-                &self.config,
-                &core.table,
-                &core.index,
-                rows,
-                &comp,
-                &mut SolveScratch::default(),
-            )?;
-            estats.num_constraints = sol.num_constraints;
-            estats.num_free_terms = sol.num_free_terms;
-            // The joint component covers buckets 0..m in ascending order, so
-            // its local term concatenation *is* the global `TermIndex` layout.
-            let values = sol.values;
-            debug_assert_eq!(values.len(), core.index.len());
-            if let Some(s) = sol.stats {
-                estats.component_stats.push(s);
-            }
-            estats.num_components = 1;
-            stats.resolved = 1;
-            stats.solves = 1;
-            (0..m)
-                .map(|b| Arc::from(&values[core.index.bucket_range(b)]))
-                .collect()
-        };
-        self.core_mut().bucket_baselines = baselines;
-        let baseline_solve = baseline_start.elapsed();
-
-        estats.total_elapsed = baseline_solve;
-        stats.components = estats.num_components;
-        stats.dirty = stats.closed_form + stats.resolved;
-        stats.solver = estats.solver_elapsed();
-        stats.wall = baseline_solve;
-
-        self.baseline_estats = estats;
-        self.baseline_refresh = stats;
-        self.has_baseline = true;
-        self.stats.components = if self.config.decompose { m } else { 1 };
-        self.stats.baseline_solve = baseline_solve;
-        Ok(())
-    }
-
-    /// Everything except the baseline solve — the internal shell behind the
-    /// one-shot `Engine::estimate`, which marks every bucket dirty and
-    /// would discard a baseline immediately. The zero placeholder baseline
-    /// is never served: a deferred session's first refresh writes every
-    /// bucket (solved or closed-form) before its estimate is readable.
-    pub(crate) fn build_shell(table: PublishedTable, config: EngineConfig) -> Self {
         let start = Instant::now(); // pm-audit: allow(determinism, reason = "wall-clock telemetry only: feeds solve/build duration stats, never the estimate bytes")
         let m = table.num_buckets();
         let index = Arc::new(TermIndex::build(&table));
@@ -304,20 +222,22 @@ impl CompiledTable {
             .collect();
         let row_offsets = prefix_offsets(&bucket_rows);
         let qi_buckets = qi_bucket_index(&table);
+        let baseline_start = Instant::now(); // pm-audit: allow(determinism, reason = "wall-clock telemetry only: feeds solve/build duration stats, never the estimate bytes")
         let bucket_baselines: Vec<Arc<[f64]>> =
-            (0..m).map(|_| Arc::from(Vec::new())).collect();
+            (0..m).map(|b| Arc::from(uniform_bucket_values(&table, &index, b))).collect();
+        let baseline_solve = baseline_start.elapsed();
         let stats = CompileStats {
             records: table.total_records(),
             buckets: m,
             distinct_qi: table.interner().distinct(),
             terms: index.len(),
             invariant_rows: *row_offsets.last().expect("offsets hold the leading 0"),
-            components: 0,
+            components: m,
             recompiled_buckets: m,
             build: start.elapsed(),
-            baseline_solve: Duration::default(),
+            baseline_solve,
         };
-        Self {
+        Ok(Self {
             core: LazyCore::Ready(CoreState { table, index, bucket_baselines }),
             config,
             lineage: NEXT_LINEAGE.fetch_add(1, Ordering::Relaxed),
@@ -330,11 +250,8 @@ impl CompiledTable {
             qi_buckets: OnceLock::from(qi_buckets),
             baseline_components: OnceLock::new(),
             baseline_estimate: OnceLock::new(),
-            baseline_estats: EngineStats::default(),
-            baseline_refresh: RefreshStats::default(),
-            has_baseline: false,
             stats,
-        }
+        })
     }
 
     /// Reassembles a servable artifact from a checksum-verified snapshot
@@ -361,25 +278,13 @@ impl CompiledTable {
         load: Duration,
     ) -> Self {
         let m = snapshot.buckets();
-        let mut estats = EngineStats::default();
-        let mut refresh = RefreshStats::default();
-        if config.decompose {
-            estats.num_irrelevant = m;
-            estats.num_components = m;
-            refresh.closed_form = m;
-        } else {
-            estats.num_components = 1;
-            refresh.resolved = 1;
-        }
-        refresh.components = estats.num_components;
-        refresh.dirty = refresh.closed_form + refresh.resolved;
         let stats = CompileStats {
             records: snapshot.records(),
             buckets: m,
             distinct_qi: snapshot.distinct_qi(),
             terms: snapshot.num_terms(),
             invariant_rows,
-            components: estats.num_components,
+            components: m,
             recompiled_buckets: 0,
             build: load,
             baseline_solve: Duration::default(),
@@ -397,9 +302,6 @@ impl CompiledTable {
             qi_buckets: OnceLock::new(),
             baseline_components: OnceLock::new(),
             baseline_estimate: OnceLock::new(),
-            baseline_estats: estats,
-            baseline_refresh: refresh,
-            has_baseline: true,
             stats,
         }
     }
@@ -411,15 +313,6 @@ impl CompiledTable {
         match &self.core {
             LazyCore::Ready(state) => state,
             LazyCore::Deferred { cell, snapshot } => cell.get_or_init(|| snapshot.hydrate()),
-        }
-    }
-
-    /// Mutable core access for the build paths. Only freshly built shells
-    /// are ever mutated, so a deferred (loaded) core here is a logic error.
-    fn core_mut(&mut self) -> &mut CoreState {
-        match &mut self.core {
-            LazyCore::Ready(state) => state,
-            LazyCore::Deferred { .. } => unreachable!("loaded artifacts are never re-solved"),
         }
     }
 
@@ -437,11 +330,8 @@ impl CompiledTable {
     ///
     /// The application is atomic: on any invalid operation
     /// ([`PmError::InvalidDelta`]) no new epoch is produced and `self` is
-    /// untouched. Without [`EngineConfig::decompose`] the baseline is a
-    /// joint numeric solve with nothing bucket-local to share, so the new
-    /// epoch is a full rebuild (same result, none of the savings).
+    /// untouched.
     pub fn apply(&self, delta: &TableDelta) -> Result<Self, PmError> {
-        assert!(self.has_baseline, "cannot apply a delta to an internal shell");
         let start = Instant::now(); // pm-audit: allow(determinism, reason = "wall-clock telemetry only: feeds solve/build duration stats, never the estimate bytes")
         let core = self.core();
 
@@ -466,20 +356,6 @@ impl CompiledTable {
         qs.dedup();
         let touched = delta.touched_buckets();
         let applied = AppliedDelta { touched: touched.clone(), qs, ops: delta.len() };
-
-        if !self.config.decompose {
-            // The joint baseline couples every bucket: rebuild, keeping the
-            // epoch lineage so sessions can still rebase (everything
-            // dirties).
-            let mut next = Self::build_shell(table, self.config.clone());
-            next.lineage = self.lineage;
-            next.epoch = self.epoch + 1;
-            next.parent_uid = Some(self.uid);
-            next.delta = Some(applied);
-            next.solve_baseline()?;
-            next.stats.build = start.elapsed();
-            return Ok(next);
-        }
 
         // Per-bucket incremental recompile: share every untouched bucket.
         let mut bucket_terms = core.index.bucket_terms().to_vec();
@@ -553,9 +429,6 @@ impl CompiledTable {
             qi_buckets: OnceLock::from(qi_buckets),
             baseline_components: OnceLock::new(),
             baseline_estimate: OnceLock::new(),
-            baseline_estats: self.baseline_estats.clone(),
-            baseline_refresh: self.baseline_refresh.clone(),
-            has_baseline: true,
             stats,
         };
         next.stats.build = start.elapsed();
@@ -627,17 +500,17 @@ impl CompiledTable {
             let core = self.core();
             let mut values = vec![0.0; core.index.len()];
             for (b, baseline) in core.bucket_baselines.iter().enumerate() {
-                if !baseline.is_empty() {
-                    values[core.index.bucket_range(b)].copy_from_slice(baseline);
-                }
+                values[core.index.bucket_range(b)].copy_from_slice(baseline);
             }
             counts_to_probabilities(&mut values, &core.table);
+            let m = self.stats.buckets;
+            let stats = EngineStats { num_components: m, num_irrelevant: m, ..Default::default() };
             Arc::new(Estimate::assemble(
                 values,
                 Arc::clone(&core.index),
                 &core.table,
                 self.epoch,
-                self.baseline_estats.clone(),
+                stats,
             ))
         }))
     }
@@ -693,28 +566,23 @@ impl CompiledTable {
         self.baseline_components.get_or_init(|| {
             // `stats.buckets` is exact in every construction path, so the
             // partition never forces a deferred core to hydrate.
-            let m = self.stats.buckets;
-            if self.config.decompose {
-                (0..m)
-                    .map(|b| Component { buckets: vec![b], knowledge_rows: Vec::new() })
-                    .collect()
-            } else {
-                vec![joint_component(m)]
-            }
+            (0..self.stats.buckets)
+                .map(|b| Component { buckets: vec![b], knowledge_rows: Vec::new() })
+                .collect()
         })
     }
 
-    /// Bucket `b`'s baseline values (count space; empty in a shell).
+    /// Bucket `b`'s baseline values: its Theorem 5 closed form in count
+    /// space, aligned with the bucket's term range.
     pub(crate) fn bucket_baseline(&self, b: usize) -> &Arc<[f64]> {
         &self.core().bucket_baselines[b]
     }
 
-    pub(crate) fn baseline_refresh(&self) -> &RefreshStats {
-        &self.baseline_refresh
-    }
-
-    pub(crate) fn has_baseline(&self) -> bool {
-        self.has_baseline
+    /// What a freshly opened session reports as its "last refresh": every
+    /// bucket closed-form, nothing solved.
+    pub(crate) fn baseline_refresh(&self) -> RefreshStats {
+        let m = self.stats.buckets;
+        RefreshStats { components: m, dirty: m, closed_form: m, ..Default::default() }
     }
 
     /// Structural-sharing observability for the epoch tests: whether bucket
@@ -726,13 +594,6 @@ impl CompiledTable {
             && Arc::ptr_eq(&self.bucket_rows()[b], &other.bucket_rows()[b])
             && Arc::ptr_eq(&mine.bucket_baselines[b], &theirs.bucket_baselines[b])
     }
-}
-
-/// The single knowledge-free joint pseudo-component of a
-/// `decompose = false` solve (sessions attach their knowledge rows
-/// themselves).
-pub(crate) fn joint_component(num_buckets: usize) -> Component {
-    Component { buckets: (0..num_buckets).collect(), knowledge_rows: Vec::new() }
 }
 
 fn prefix_offsets(bucket_rows: &[Arc<Vec<Constraint>>]) -> Vec<usize> {
@@ -782,29 +643,6 @@ mod tests {
         assert!(stats.invariant_rows > 0);
         assert!(stats.build >= stats.baseline_solve);
         assert!(!format!("{stats}").is_empty());
-    }
-
-    /// Without decomposition the baseline goes through the numeric solver
-    /// and still matches the closed form (Theorem 5 consistency).
-    #[test]
-    fn joint_baseline_matches_closed_form() {
-        let (_, table) = paper_example();
-        let uniform = Engine::uniform_estimate(&table);
-        let artifact = CompiledTable::build(
-            table,
-            EngineConfig::builder().decompose(false).build(),
-        )
-        .unwrap();
-        assert_eq!(artifact.num_components(), 1, "one joint pseudo-component");
-        let baseline = artifact.baseline_estimate();
-        for (i, (&a, &b)) in baseline
-            .term_values()
-            .iter()
-            .zip(uniform.term_values())
-            .enumerate()
-        {
-            assert!((a - b).abs() < 1e-9, "term {i}: {a} vs {b}");
-        }
     }
 
     /// `apply` advances the epoch, recompiles exactly the touched buckets,

@@ -1,4 +1,4 @@
-//! The Privacy-MaxEnt engine: assemble, preprocess, decompose, solve.
+//! The Privacy-MaxEnt engine: assemble, partition, preprocess, solve.
 //!
 //! Pipeline (Sections 3–5 of the paper):
 //!
@@ -21,16 +21,18 @@
 //!
 //! # One-shot vs. resident
 //!
-//! Since the artifact redesign, the knowledge-independent stages live in
-//! the shared [`crate::compiled::CompiledTable`] and the long-lived
+//! The knowledge-independent stages live in the shared
+//! [`crate::compiled::CompiledTable`], and the long-lived
 //! [`crate::analyst::Analyst`] sessions over it own the serving: they track
 //! background knowledge as deltas and re-solve only invalidated
-//! components. [`Engine::estimate`] remains the one-shot facade — it spins
-//! up a throwaway session over an internal artifact shell, feeds it the
-//! whole knowledge base and refreshes once, which reproduces the
-//! historical behaviour (and bit pattern) exactly. The shared
-//! component-solving machinery lives in this module (`solve_component`)
-//! so every entry point runs the identical numeric path.
+//! components. [`Engine::estimate`] is the one-shot facade over them:
+//! build the artifact, open a session, add the whole knowledge base and
+//! refresh once. [`Engine::estimate_joint`] is the paper's unoptimised
+//! solve, run only as a one-shot: one maxent system holding every bucket
+//! and every knowledge row, as in the paper's Section 7 timing runs. Both
+//! go through the one component solver in this module
+//! (`solve_component`), so every entry point runs the identical numeric
+//! path.
 //!
 //! # Parallelism
 //!
@@ -47,7 +49,7 @@
 //! times vary).
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use pm_anonymize::published::PublishedTable;
 use pm_linalg::CsrMatrix;
@@ -57,6 +59,8 @@ use pm_solver::stats::SolveStats;
 use pm_solver::{Lbfgs, LbfgsConfig, MaxEntDual};
 
 use crate::analyst::Analyst;
+use crate::compile::compile_items_parallel;
+use crate::compiled::CompiledTable;
 use crate::constraint::Constraint;
 use crate::error::PmError;
 use crate::knowledge::KnowledgeBase;
@@ -134,13 +138,6 @@ pub(crate) struct ComponentSolution {
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct EngineConfig {
-    /// Apply the Section 5.5 optimisation: closed-form irrelevant buckets
-    /// plus independent connected-component solves. Disable to reproduce
-    /// the paper's performance experiments ("we have not applied the
-    /// optimization techniques discussed in Section 5.5"). Note that
-    /// disabling it also disables the session engine's component-granular
-    /// invalidation: every delta dirties the single joint system.
-    pub decompose: bool,
     /// Drop one redundant SA-invariant per bucket (Theorem 3).
     pub concise_invariants: bool,
     /// Convergence tolerance on the count-space constraint residual.
@@ -168,7 +165,6 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         Self {
-            decompose: true,
             concise_invariants: true,
             tolerance: 1e-9,
             max_iterations: 2000,
@@ -201,12 +197,6 @@ pub struct EngineConfigBuilder {
 }
 
 impl EngineConfigBuilder {
-    /// Sets [`EngineConfig::decompose`].
-    pub fn decompose(mut self, decompose: bool) -> Self {
-        self.config.decompose = decompose;
-        self
-    }
-
     /// Sets [`EngineConfig::concise_invariants`].
     pub fn concise_invariants(mut self, concise: bool) -> Self {
         self.config.concise_invariants = concise;
@@ -252,7 +242,8 @@ impl EngineConfigBuilder {
 /// `num_free_terms` cover only the solves that refresh dispatched: one per
 /// distinct component system, since components posing byte-equal systems
 /// share one solve (a one-shot [`Engine::estimate`] solves everything in
-/// one refresh).
+/// one refresh). An [`Engine::estimate_joint`] reports its one joint solve:
+/// one component, none irrelevant.
 #[derive(Debug, Clone, Default)]
 pub struct EngineStats {
     /// Per-solved-component statistics (irrelevant components don't solve).
@@ -277,7 +268,7 @@ impl EngineStats {
     }
 
     /// Largest per-component iteration count (the paper's single-solve
-    /// iteration metric when `decompose = false`).
+    /// iteration metric under [`Engine::estimate_joint`]).
     #[must_use]
     pub fn max_iterations(&self) -> usize {
         self.component_stats.iter().map(|s| s.iterations).max().unwrap_or(0)
@@ -494,13 +485,12 @@ impl Engine {
 
     /// Computes the maxent estimate of `P(Q, S, B)` under `kb`.
     ///
-    /// Implemented as a one-shot [`Analyst`] session: compile, partition,
-    /// refresh once, discard. The numeric path (constraint ordering,
-    /// preprocessing, cold-started solves, merge order) is identical to the
-    /// pre-session engine, so results are bit-for-bit unchanged — and
-    /// bit-identical to an incremental session arriving at the same
-    /// knowledge set: every solve is cold-started, so an estimate depends
-    /// on its knowledge set alone, not on the refreshes that led to it.
+    /// Implemented as a one-shot [`Analyst`] session: build the artifact,
+    /// open a session, add `kb` as one batch, refresh once, discard. The
+    /// result is bit-identical to an incremental session arriving at the
+    /// same knowledge set: every solve is cold-started, so an estimate
+    /// depends on its knowledge set alone, not on the refreshes that led to
+    /// it.
     pub fn estimate(
         &self,
         table: &PublishedTable,
@@ -509,8 +499,8 @@ impl Engine {
         if kb.has_individual_knowledge() {
             return Err(PmError::RequiresIndividualEngine);
         }
-        let start = std::time::Instant::now(); // pm-audit: allow(determinism, reason = "wall-clock telemetry only: feeds solve/build duration stats, never the estimate bytes")
-        let mut analyst = Analyst::new_deferred(table.clone(), self.config.clone());
+        let start = Instant::now(); // pm-audit: allow(determinism, reason = "wall-clock telemetry only: feeds solve/build duration stats, never the estimate bytes")
+        let mut analyst = Analyst::new(table.clone(), self.config.clone())?;
         analyst
             .add_knowledge_batch(kb.items())
             .map_err(PmError::into_root_cause)?;
@@ -520,6 +510,63 @@ impl Engine {
         // facade (index build + compilation + solves + read-out); a session
         // refresh alone would under-report it by the whole assembly stage,
         // skewing the Figure 5-7 solve-time series in `pm-bench`.
+        estimate.stats.total_elapsed = start.elapsed();
+        Ok(estimate)
+    }
+
+    /// The paper's unoptimised solve of `kb`: one maxent system holding
+    /// every bucket's invariants and every knowledge row, without the
+    /// Section 5.5 closed form or decomposition. The paper's Section 7
+    /// timing runs measure this mode ("we have not applied the
+    /// optimization techniques discussed in Section 5.5"). Its optimum is
+    /// [`Engine::estimate`]'s, to within the solver tolerance; only the
+    /// work differs. The stats describe the one solve: one component, none
+    /// irrelevant.
+    pub fn estimate_joint(
+        &self,
+        table: &PublishedTable,
+        kb: &KnowledgeBase,
+    ) -> Result<Estimate, PmError> {
+        if kb.has_individual_knowledge() {
+            return Err(PmError::RequiresIndividualEngine);
+        }
+        let start = Instant::now(); // pm-audit: allow(determinism, reason = "wall-clock telemetry only: feeds solve/build duration stats, never the estimate bytes")
+        let artifact = CompiledTable::build(table.clone(), self.config.clone())?;
+        let (table, index) = (artifact.table(), artifact.index_arc());
+        let knowledge = compile_items_parallel(
+            kb.items(),
+            table,
+            index,
+            artifact.qi_buckets(),
+            self.config.threads,
+        )?;
+        let invariants = artifact.num_invariants();
+        let joint = Component {
+            buckets: (0..table.num_buckets()).collect(),
+            knowledge_rows: (invariants..invariants + knowledge.len()).collect(),
+        };
+        let rows = artifact.rows(&knowledge);
+        let sol = solve_component(
+            &self.config,
+            table,
+            index,
+            rows,
+            &joint,
+            &mut SolveScratch::default(),
+        )?;
+        // The joint component covers buckets 0..m in ascending order, so its
+        // local term concatenation is the global term layout.
+        let mut values = sol.values;
+        counts_to_probabilities(&mut values, table);
+        let stats = EngineStats {
+            component_stats: sol.stats.into_iter().collect(),
+            num_components: 1,
+            num_constraints: sol.num_constraints,
+            num_free_terms: sol.num_free_terms,
+            ..Default::default()
+        };
+        let mut estimate =
+            Estimate::assemble(values, Arc::clone(index), table, artifact.epoch(), stats);
         estimate.stats.total_elapsed = start.elapsed();
         Ok(estimate)
     }
@@ -758,9 +805,8 @@ pub(crate) fn fill_uniform(
 /// paper's `P(q, s, b) = P(q, b) · (#s in b) / N_b`). Count space makes the
 /// value a function of the bucket's own multiset alone — bit-identical
 /// across table epochs that leave the bucket untouched. This is the single
-/// home of the formula, and the session engine's copy-on-write overlay unit
-/// (a one-shot session has no shared baseline to revert to, so a dirty
-/// irrelevant bucket materialises its closed form directly).
+/// home of the formula: the artifact's per-bucket baseline, which a dirty
+/// irrelevant component reverts to.
 pub(crate) fn uniform_bucket_values(
     table: &PublishedTable,
     index: &TermIndex,
@@ -812,14 +858,17 @@ mod tests {
     fn no_knowledge_matches_uniform() {
         let (_, table) = paper_example();
         let uniform = Engine::uniform_estimate(&table);
-        for decompose in [true, false] {
-            let engine = Engine::new(EngineConfig { decompose, ..Default::default() });
-            let est = engine.estimate(&table, &KnowledgeBase::new()).unwrap();
+        for joint in [false, true] {
+            let est = if joint {
+                Engine::default().estimate_joint(&table, &KnowledgeBase::new()).unwrap()
+            } else {
+                Engine::default().estimate(&table, &KnowledgeBase::new()).unwrap()
+            };
             for q in 0..est.distinct_qi() {
                 for s in 0..est.sa_cardinality() as u16 {
                     assert!(
                         (est.conditional(q, s) - uniform.conditional(q, s)).abs() < 1e-6,
-                        "decompose={decompose} q={q} s={s}: {} vs {}",
+                        "joint={joint} q={q} s={s}: {} vs {}",
                         est.conditional(q, s),
                         uniform.conditional(q, s)
                     );
@@ -873,12 +922,8 @@ mod tests {
             sa: 1,                            // pneumonia
             probability: 0.5,
         }]);
-        let joint = Engine::new(EngineConfig { decompose: false, ..Default::default() })
-            .estimate(&table, &knowledge)
-            .unwrap();
-        let split = Engine::new(EngineConfig { decompose: true, ..Default::default() })
-            .estimate(&table, &knowledge)
-            .unwrap();
+        let joint = Engine::default().estimate_joint(&table, &knowledge).unwrap();
+        let split = Engine::default().estimate(&table, &knowledge).unwrap();
         assert_eq!(split.stats.num_irrelevant, 1, "bucket 3 is irrelevant");
         for q in 0..joint.distinct_qi() {
             for s in 0..5u16 {
@@ -959,6 +1004,10 @@ mod tests {
             Engine::default().estimate(&table, &knowledge),
             Err(CoreError::RequiresIndividualEngine)
         ));
+        assert!(matches!(
+            Engine::default().estimate_joint(&table, &knowledge),
+            Err(CoreError::RequiresIndividualEngine)
+        ));
     }
 
     /// Confidence-1 negative rules pin terms bucket-locally, so they must
@@ -976,9 +1025,7 @@ mod tests {
         let split = Engine::default().estimate(&table, &knowledge).unwrap();
         assert_eq!(split.stats.num_components, 3, "buckets 1 and 2 stay separate");
         assert_eq!(split.stats.num_irrelevant, 1, "bucket 0 is untouched");
-        let joint = Engine::new(EngineConfig { decompose: false, ..Default::default() })
-            .estimate(&table, &knowledge)
-            .unwrap();
+        let joint = Engine::default().estimate_joint(&table, &knowledge).unwrap();
         for q in 0..joint.distinct_qi() {
             for s in 0..5u16 {
                 assert!(

@@ -56,14 +56,6 @@ pub enum PmError {
         /// The offending handle.
         handle: KnowledgeHandle,
     },
-    /// A session was opened over a [`crate::compiled::CompiledTable`] with
-    /// an [`crate::engine::EngineConfig`] disagreeing on a knob the
-    /// artifact bakes in (`decompose`, `concise_invariants`) — serving from
-    /// the mismatched artifact would silently change the estimate.
-    ArtifactMismatch {
-        /// Which knob disagreed, and how.
-        detail: String,
-    },
     /// An independent component's re-solve failed during a session refresh.
     /// [`std::error::Error::source`] returns the underlying error.
     Component {
@@ -174,9 +166,6 @@ impl fmt::Display for PmError {
             ),
             Self::StaleHandle { handle } => {
                 write!(f, "knowledge handle {handle:?} is not live in this session")
-            }
-            Self::ArtifactMismatch { detail } => {
-                write!(f, "session config incompatible with compiled artifact: {detail}")
             }
             // Context only; the chain is walked via `source()`.
             Self::Component { index, .. } => {

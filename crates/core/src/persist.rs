@@ -175,7 +175,9 @@ pub(crate) fn encode_snapshot(artifact: &CompiledTable) -> Vec<u8> {
     // Solver code: 0 is L-BFGS, the one solver; 1-3 named retired solvers
     // and fail the load (see `decode_config`).
     cfg.u8(0);
-    cfg.u8(u8::from(config.decompose));
+    // Decomposition byte: always 1, since every artifact's BASELINES are
+    // the Theorem 5 closed form. A 0 fails the load (see `decode_config`).
+    cfg.u8(1);
     cfg.u8(u8::from(config.concise_invariants));
     // Reserved byte, kept so the v1 layout does not move: written as 0,
     // ignored on load (older snapshots may hold 1, the retired warm-start
@@ -372,9 +374,9 @@ fn decode_meta(s: &Section<'_>) -> Result<Meta, PmError> {
 
 fn decode_config(s: &Section<'_>) -> Result<EngineConfig, PmError> {
     let mut r = s.reader();
-    // A `decompose = false` snapshot stores BASELINES solved by the
-    // solver this byte names; serving them next to L-BFGS re-solves would
-    // mix two solvers' bits, so a retired code is refused, not ignored.
+    // The solver code names the solver the snapshot's config ran. L-BFGS
+    // (0) is the only one left, so a retired code is refused rather than
+    // read as L-BFGS.
     match r.u8()? {
         0 => {}
         code @ 1..=3 => {
@@ -385,7 +387,16 @@ fn decode_config(s: &Section<'_>) -> Result<EngineConfig, PmError> {
         }
         other => return Err(r.corrupt(format!("unknown solver code {other}"))),
     }
-    let decompose = r.u8()? != 0;
+    // A 0 here marks a snapshot whose BASELINES hold a numeric joint solve
+    // instead of the per-bucket closed form, written by builds that kept a
+    // joint-baseline artifact; sessions here revert to the closed form, so
+    // serving it would mix the two.
+    if r.u8()? == 0 {
+        return Err(r.corrupt(
+            "decompose byte 0 names a joint-baseline artifact, which is retired; only \
+             closed-form baselines (1) are served",
+        ));
+    }
     let concise = r.u8()? != 0;
     let _reserved = r.u8()?;
     let threads = r.u64()? as usize;
@@ -394,7 +405,6 @@ fn decode_config(s: &Section<'_>) -> Result<EngineConfig, PmError> {
     let residual_limit = r.f64()?;
     r.finish()?;
     Ok(EngineConfig::builder()
-        .decompose(decompose)
         .concise_invariants(concise)
         .threads(threads)
         .max_iterations(max_iterations)
@@ -631,7 +641,6 @@ impl CompiledTable {
     /// summary; the invariant rows and QI→bucket index re-derive from the
     /// table — so [`CompiledTable::load`] serves bit-identical estimates.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<u64, PmError> {
-        assert!(self.has_baseline(), "cannot persist an internal shell");
         let bytes = encode_snapshot(self);
         write_atomic(path.as_ref(), &bytes)?;
         Ok(bytes.len() as u64)
@@ -1168,31 +1177,39 @@ mod tests {
     }
 
     /// CONFIG's first byte names the solver, and only 0 (L-BFGS) loads: a
-    /// `decompose = false` snapshot's BASELINES were solved by the solver
-    /// it names, so a retired code fails the load instead of being read as
-    /// L-BFGS.
+    /// retired code fails the load instead of being read as L-BFGS. Its
+    /// second byte is 1 in every snapshot written now; a 0 marks a
+    /// joint-baseline snapshot, whose BASELINES hold a numeric joint solve
+    /// instead of the closed form, and fails the load too.
     #[test]
     fn retired_solver_code_is_refused_on_load() {
         let artifact = paper_artifact();
         let dir = tmpdir("retired-solver-code");
         let path = dir.join(SNAPSHOT_FILE);
         artifact.save(&path).unwrap();
-        let mut bytes = fs::read(&path).unwrap();
+        let saved = fs::read(&path).unwrap();
 
-        let config = &split_sections(&bytes).unwrap()[1];
+        let config = &split_sections(&saved).unwrap()[1];
         let (base, len) = (config.base as usize, config.payload.len());
-        assert_eq!(bytes[base], 0, "the solver byte is written as 0");
-        bytes[base] = 1;
-        let sum = checksum64(&bytes[base..base + len]);
-        bytes[base - 8..base].copy_from_slice(&sum.to_le_bytes());
-        fs::write(&path, &bytes).unwrap();
+        // (byte in CONFIG, as written, patched to, words the refusal names)
+        for (at, written, patched, names) in
+            [(0, 0, 1, ["GIS", "retired"]), (1, 1, 0, ["decompose", "retired"])]
+        {
+            let mut bytes = saved.clone();
+            assert_eq!(bytes[base + at], written, "CONFIG byte {at} as written");
+            bytes[base + at] = patched;
+            let sum = checksum64(&bytes[base..base + len]);
+            bytes[base - 8..base].copy_from_slice(&sum.to_le_bytes());
+            fs::write(&path, &bytes).unwrap();
 
-        let Some(PmError::Corrupt { section, detail, .. }) = CompiledTable::load(&path).err()
-        else {
-            panic!("a retired solver code must fail the load as corrupt");
-        };
-        assert_eq!(section, "config");
-        assert!(detail.contains("GIS") && detail.contains("retired"), "{detail}");
+            let Some(PmError::Corrupt { section, detail, .. }) =
+                CompiledTable::load(&path).err()
+            else {
+                panic!("CONFIG byte {at} = {patched} must fail the load as corrupt");
+            };
+            assert_eq!(section, "config");
+            assert!(names.iter().all(|n| detail.contains(n)), "{detail}");
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! // Figure 1: original table D (10 patients) and its 3-bucket publication D'.
 //! let (data, table) = pm_anonymize::fixtures::paper_example();
 //!
-//! // Compile the artifact once: invariants, term index, baseline solve.
+//! // Compile the artifact once: invariants, term index, closed-form baseline.
 //! let artifact = Arc::new(CompiledTable::build(table, EngineConfig::default()).unwrap());
 //! assert!(artifact.stats().invariant_rows > 0);
 //!
@@ -84,10 +84,11 @@
 //! assert!(analyst.report().max_disclosure > 0.5);
 //! ```
 //!
-//! [`Analyst::new`](maxent::analyst::Analyst::new) survives as the
-//! all-in-one wrapper (build + open), and for one-off estimates the classic
-//! facade still works — `Engine::estimate` opens a throwaway session, so it
-//! returns the exact same bits:
+//! [`Analyst::new`](maxent::analyst::Analyst::new) is the all-in-one
+//! wrapper (build + open). For one-off estimates, `Engine::estimate` runs a
+//! throwaway session (build, open, add, refresh), so it returns the exact
+//! same bits; `Engine::estimate_joint` is the paper's unoptimised one-shot
+//! (one joint system, no Section 5.5), which the Figure 7 timing runs use:
 //!
 //! ```
 //! use privacy_maxent_repro::prelude::*;

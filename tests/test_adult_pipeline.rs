@@ -126,12 +126,10 @@ fn data_size_sweep_mechanism() {
             .mine(&data);
         let picked = rules.top_k(20, 20);
         let kb = KnowledgeBase::from_rules(picked.iter().copied(), data.schema()).unwrap();
-        // The paper's performance runs skip Section 5.5, so decompose is off.
-        let est = Engine::new(
-            EngineConfig::builder().decompose(false).residual_limit(f64::INFINITY).build(),
-        )
-        .estimate(&table, &kb)
-        .unwrap();
+        // The paper's performance runs skip Section 5.5: one joint solve.
+        let est = Engine::new(EngineConfig::builder().residual_limit(f64::INFINITY).build())
+            .estimate_joint(&table, &kb)
+            .unwrap();
         assert_eq!(est.stats.num_components, 1);
         assert!(est.stats.component_stats.len() <= 1);
     }

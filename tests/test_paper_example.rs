@@ -99,16 +99,18 @@ fn engine_configs_agree_on_paper_example() {
     })
     .unwrap();
     let reference = Engine::default().estimate(&table, &kb).unwrap();
-    for (decompose, concise) in [(true, false), (false, true), (false, false)] {
-        let engine = Engine::new(
-            EngineConfig::builder().decompose(decompose).concise_invariants(concise).build(),
-        );
-        let est = engine.estimate(&table, &kb).unwrap();
+    for (joint, concise) in [(false, false), (true, true), (true, false)] {
+        let engine = Engine::new(EngineConfig::builder().concise_invariants(concise).build());
+        let est = if joint {
+            engine.estimate_joint(&table, &kb).unwrap()
+        } else {
+            engine.estimate(&table, &kb).unwrap()
+        };
         for q in 0..6 {
             for s in 0..5u16 {
                 assert!(
                     (est.conditional(q, s) - reference.conditional(q, s)).abs() < 1e-6,
-                    "decompose={decompose} concise={concise} q={q} s={s}"
+                    "joint={joint} concise={concise} q={q} s={s}"
                 );
             }
         }

@@ -117,8 +117,8 @@ proptest! {
     fn consistency_on_random_instances((data, partition) in instance_strategy()) {
         let table = PublishedTable::from_partition(&data, &partition).unwrap();
         let uniform = Engine::uniform_estimate(&table);
-        let solved = Engine::new(EngineConfig::builder().decompose(false).build())
-            .estimate(&table, &KnowledgeBase::new())
+        let solved = Engine::default()
+            .estimate_joint(&table, &KnowledgeBase::new())
             .unwrap();
         for q in 0..uniform.distinct_qi() {
             for s in 0..uniform.sa_cardinality() as Value {

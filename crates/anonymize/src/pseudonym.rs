@@ -50,13 +50,11 @@ impl PseudonymTable {
         self.offsets[q + 1] - self.offsets[q]
     }
 
-    /// The QI symbol owning pseudonym `i`.
+    /// The QI symbol owning pseudonym `i`: the last symbol whose range
+    /// starts at or before `i`, so symbols with no records (empty ranges)
+    /// never own one.
     pub fn owner(&self, i: PseudonymId) -> QiId {
-        match self.offsets.binary_search(&i) {
-            Ok(q) if q + 1 < self.offsets.len() => q,
-            Ok(q) => q - 1,
-            Err(q) => q - 1,
-        }
+        self.offsets.partition_point(|&o| o <= i) - 1
     }
 
     /// Display name matching Figure 4 (`i1`-based).
@@ -97,5 +95,11 @@ mod tests {
                 assert_eq!(t.owner(i), q, "pseudonym {i}");
             }
         }
+        // Symbols whose records were all retracted own no pseudonym.
+        let t = PseudonymTable::from_interner(&QiInterner::from_parts(
+            vec![vec![0], vec![1], vec![2], vec![3]],
+            vec![0, 2, 0, 1],
+        ));
+        assert_eq!((0..3).map(|i| t.owner(i)).collect::<Vec<_>>(), vec![1, 1, 3]);
     }
 }

@@ -8,7 +8,7 @@
 use std::time::Duration;
 
 use pm_datagen::adult::{AdultGenerator, AdultGeneratorConfig};
-use privacy_maxent::engine::{Engine, EngineConfig};
+use privacy_maxent::engine::{Engine, EngineConfig, EngineStats};
 use privacy_maxent::knowledge::KnowledgeBase;
 use privacy_maxent::metrics::estimation_accuracy;
 
@@ -150,6 +150,25 @@ pub struct PerfPoint {
     /// Solver iterations (single joint solve: the Section 5.5 optimisation
     /// is disabled here, matching the paper's performance runs).
     pub iterations: usize,
+    /// Why the joint solve stopped, as the tables print it: a point that
+    /// hit the iteration budget plots the budget, not a converged solve
+    /// (`-` when preprocessing fixed every term).
+    pub stop: String,
+}
+
+impl PerfPoint {
+    /// The point of one [`Engine::estimate_joint`] solve at `x`.
+    fn of(x: usize, stats: &EngineStats) -> Self {
+        Self {
+            x,
+            time: stats.solver_elapsed(),
+            iterations: stats.max_iterations(),
+            stop: stats
+                .component_stats
+                .first()
+                .map_or_else(|| "-".into(), |s| format!("{:?}", s.stop)),
+        }
+    }
 }
 
 /// **Figure 7(a)** — running time and iterations vs. number of
@@ -162,7 +181,7 @@ pub fn figure7a(scale: Scale, seed: u64) -> Vec<PerfPoint> {
     };
     let mut out = Vec::new();
     println!("\n=== Figure 7(a): performance vs knowledge ===");
-    println!("{:>12}  {:>12}  {:>10}", "#constraints", "time(s)", "iterations");
+    println!("{:>12}  {:>12}  {:>10}  {:>16}", "#constraints", "time(s)", "iterations", "stop");
     for &k in &grid {
         let picked = exp.rules.top_k(k / 2, k - k / 2);
         let kb = KnowledgeBase::from_rules(picked.iter().copied(), exp.data.schema())
@@ -171,16 +190,13 @@ pub fn figure7a(scale: Scale, seed: u64) -> Vec<PerfPoint> {
             .estimate_joint(&exp.table, &kb)
             .expect("mined knowledge feasible")
             .stats;
-        let point = PerfPoint {
-            x: k,
-            time: stats.solver_elapsed(),
-            iterations: stats.max_iterations(),
-        };
+        let point = PerfPoint::of(k, &stats);
         println!(
-            "{:>12}  {:>12.3}  {:>10}",
+            "{:>12}  {:>12.3}  {:>10}  {:>16}",
             point.x,
             point.time.as_secs_f64(),
-            point.iterations
+            point.iterations,
+            point.stop
         );
         out.push(point);
     }
@@ -207,8 +223,8 @@ pub fn figure7bc(scale: Scale, seed: u64) -> Vec<(usize, Vec<PerfPoint>)> {
     let mut results = Vec::new();
     println!("\n=== Figure 7(b)/(c): performance vs data size ===");
     println!(
-        "{:>12} {:>9} {:>12} {:>11}",
-        "#constraints", "#buckets", "time(s)", "iterations"
+        "{:>12} {:>9} {:>12} {:>11} {:>16}",
+        "#constraints", "#buckets", "time(s)", "iterations", "stop"
     );
     for &kc in &constraint_curves {
         let mut series = Vec::new();
@@ -220,16 +236,13 @@ pub fn figure7bc(scale: Scale, seed: u64) -> Vec<(usize, Vec<PerfPoint>)> {
             let kb = KnowledgeBase::from_rules(picked.iter().copied(), data.schema())
                 .expect("mined rules valid");
             let est = Engine::new(perf_config()).estimate_joint(&table, &kb).expect("feasible");
-            let point = PerfPoint {
-                x: table.num_buckets(),
-                time: est.stats.solver_elapsed(),
-                iterations: est.stats.max_iterations(),
-            };
+            let point = PerfPoint::of(table.num_buckets(), &est.stats);
             println!(
-                "{kc:>12} {:>9} {:>12.3} {:>11}",
+                "{kc:>12} {:>9} {:>12.3} {:>11} {:>16}",
                 point.x,
                 point.time.as_secs_f64(),
-                point.iterations
+                point.iterations,
+                point.stop
             );
             series.push(point);
         }

@@ -107,8 +107,8 @@ use crate::engine::{
     solve_component, ComponentSolution, EngineConfig, EngineStats, Estimate, SolveScratch,
 };
 use crate::error::PmError;
-use crate::individuals::{IndividualEngine, PersonEstimate};
-use crate::knowledge::{Knowledge, KnowledgeBase};
+use crate::individuals::{estimate_persons, PersonEstimate};
+use crate::knowledge::Knowledge;
 use crate::metrics;
 use crate::overlay::FlatOverlay;
 use crate::partition::{knowledge_components, split_separable_knowledge, Component};
@@ -671,14 +671,10 @@ impl Analyst {
         self.overlay.rebase(new.table().num_buckets(), new.epoch());
         let carried = self.overlay.len();
         self.stale = true;
-        // The partition survives the rebase iff its row numbering does:
-        // every entry bit-unchanged (same footprints → same connectivity)
-        // and the new epoch kept the invariant-row base and bucket count
-        // (knowledge-row ids are `num_invariants + i`).
-        if changed > 0
-            || new.num_invariants() != old.num_invariants()
-            || new.table().num_buckets() != old.table().num_buckets()
-        {
+        // The partition survives the rebase iff every entry is
+        // bit-unchanged (same rows in the same positions, same footprints,
+        // so the same connectivity) and the bucket count held.
+        if changed > 0 || new.table().num_buckets() != old.table().num_buckets() {
             self.partition_stale = true;
         }
         if !self.individuals.is_empty() {
@@ -797,9 +793,11 @@ impl Analyst {
 
     /// Replaces the session's Section 6 individual-knowledge set.
     ///
-    /// The individual layer is solved by the pseudonym-expanded
-    /// [`IndividualEngine`] as one joint system (it has no component
-    /// decomposition), so its dirty tracking is a single flag: the next
+    /// The individual layer is the pseudonym-expanded system of
+    /// [`crate::individuals`], built from the artifact's rows and the
+    /// session's compiled knowledge rows and solved as one component under
+    /// the session's accuracy contract, so its dirty tracking is a single
+    /// flag: the next
     /// [`Analyst::refresh`] re-solves it iff this set or the distribution
     /// knowledge changed. While the set is non-empty,
     /// [`Analyst::conditional`] and [`Analyst::batch`] serve from the
@@ -905,7 +903,7 @@ impl Analyst {
         let artifact = Arc::clone(&self.artifact);
         let index = artifact.term_index();
 
-        // The knowledge tail and a new partition stay local until every
+        // The knowledge rows and a new partition stay local until every
         // dirty solve succeeds, so a failed refresh never changes what
         // `report()` describes. When only the individual layer is stale,
         // the knowledge rows are not needed and the partition is kept.
@@ -915,7 +913,7 @@ impl Analyst {
         // bit-unchanged keeps `partition_stale` false, so the steady-state
         // delta path reuses the cached partition verbatim.
         let fresh: Option<Vec<Component>> = (self.stale && self.partition_stale)
-            .then(|| knowledge_components(&krows, artifact.num_invariants(), index));
+            .then(|| knowledge_components(&krows, index));
         let components: &[Component] = match (&fresh, &self.components) {
             (Some(c), _) | (None, Some(c)) => c,
             (None, None) => artifact.baseline_components(),
@@ -1083,18 +1081,8 @@ impl Analyst {
             // it, stays flagged stale, and the next refresh retries this
             // layer alone.
             self.individuals_stale = true;
-            let mut kb = KnowledgeBase::new();
-            for e in &self.entries {
-                kb.push(e.item.clone())?;
-            }
-            for item in &self.individuals {
-                kb.push(item.clone())?;
-            }
-            let engine = IndividualEngine {
-                tolerance: config.tolerance,
-                max_iterations: config.max_iterations,
-            };
-            self.person = Some(engine.estimate(self.artifact.table(), &kb)?);
+            let knowledge = self.entries.iter().map(|e| (e.coeffs.as_slice(), e.rhs));
+            self.person = Some(estimate_persons(&self.artifact, knowledge, &self.individuals)?);
             self.individuals_stale = false;
             true
         } else {
@@ -1177,9 +1165,9 @@ impl Analyst {
         }
     }
 
-    /// The knowledge tail of the virtual row list, rebuilt from the live
-    /// entries: origins re-indexed to current positions, then split where a
-    /// row is separable ([`split_separable_knowledge`]).
+    /// The session's knowledge rows, rebuilt from the live entries: origins
+    /// re-indexed to current positions, then split where a row is separable
+    /// ([`split_separable_knowledge`]).
     fn build_knowledge_rows(&self) -> Vec<Constraint> {
         let krows: Vec<Constraint> = self
             .entries
@@ -1276,6 +1264,7 @@ const _: () = {
 mod tests {
     use super::*;
     use crate::engine::Engine;
+    use crate::knowledge::KnowledgeBase;
     use pm_anonymize::fixtures::paper_example;
 
     fn conditional_k(antecedent: Vec<(usize, Value)>, sa: Value, p: f64) -> Knowledge {
@@ -1578,6 +1567,26 @@ mod tests {
         analyst.set_individuals(Vec::new()).unwrap();
         analyst.refresh().unwrap();
         assert!(analyst.person_posterior(0).is_none());
+    }
+
+    /// The individual layer answers under the session's accuracy contract,
+    /// not a gate of its own: a zero residual limit refuses the person
+    /// solve, and an unbounded one accepts a solve its iteration budget
+    /// stopped short.
+    #[test]
+    fn individual_layer_honours_the_residual_limit() {
+        let (_, table) = paper_example();
+        let alice = Knowledge::IndividualSa { pseudonym: 0, sa: 2, probability: 0.2 };
+        let strict = EngineConfig::builder().residual_limit(0.0).build();
+        let mut analyst = Analyst::new(table.clone(), strict).unwrap();
+        analyst.set_individuals(vec![alice.clone()]).unwrap();
+        assert!(matches!(analyst.refresh(), Err(PmError::SolverFailed { .. })));
+
+        let short = EngineConfig::builder().max_iterations(2).residual_limit(f64::INFINITY).build();
+        let mut analyst = Analyst::new(table, short).unwrap();
+        analyst.set_individuals(vec![alice]).unwrap();
+        assert!(analyst.refresh().unwrap().individual_resolve);
+        assert!(analyst.person_posterior(0).is_some());
     }
 
     /// An infeasible individual layer fails the refresh *after* the
@@ -1939,11 +1948,7 @@ mod tests {
         // The failed refresh kept the baseline partition, so partition
         // afresh to find the components the refresh saw.
         let krows = analyst.build_knowledge_rows();
-        let comps = knowledge_components(
-            &krows,
-            analyst.artifact.num_invariants(),
-            analyst.artifact.term_index(),
-        );
+        let comps = knowledge_components(&krows, analyst.artifact.term_index());
         let of = |b: usize| comps.iter().position(|c| c.buckets.contains(&b)).unwrap();
         assert!(of(0) < of(1));
         assert_eq!(index, of(0));

@@ -44,7 +44,8 @@ pub(crate) fn qi_bucket_index(table: &PublishedTable) -> Vec<Arc<[usize]>> {
     buckets_of.into_iter().map(Arc::from).collect()
 }
 
-/// Compiles every *distribution* knowledge item of `kb` into a constraint.
+/// Compiles every *distribution* knowledge item of `kb` into a constraint
+/// (probability-space targets, `rhs = p · P(Qv)`).
 ///
 /// Returns [`CoreError::RequiresIndividualEngine`] if `kb` contains
 /// individual knowledge — that lives in [`crate::individuals`].
@@ -53,24 +54,7 @@ pub fn compile_knowledge(
     table: &PublishedTable,
     index: &TermIndex,
 ) -> Result<Vec<Constraint>, CoreError> {
-    compile_knowledge_parallel(kb, table, index, 1)
-}
-
-/// [`compile_knowledge`] on a `pm-parallel` worker pool (`threads` follows
-/// the `0 = auto` convention). Rules compile independently and the map
-/// preserves input order, so the output — and any error, reported for the
-/// lowest-indexed failing rule — is identical for every thread count.
-pub fn compile_knowledge_parallel(
-    kb: &KnowledgeBase,
-    table: &PublishedTable,
-    index: &TermIndex,
-    threads: usize,
-) -> Result<Vec<Constraint>, CoreError> {
-    if kb
-        .items()
-        .iter()
-        .any(|item| !matches!(item, Knowledge::Conditional { .. }))
-    {
+    if kb.has_individual_knowledge() {
         return Err(CoreError::RequiresIndividualEngine);
     }
     if kb.items().is_empty() {
@@ -80,7 +64,7 @@ pub fn compile_knowledge_parallel(
     }
     let buckets_of = qi_bucket_index(table);
     let n = table.total_records() as f64;
-    let mut rows = compile_items_parallel(kb.items(), table, index, &buckets_of, threads)?;
+    let mut rows = compile_items_parallel(kb.items(), table, index, &buckets_of, 1)?;
     // The internal compiler emits count-space targets (epoch-stable); the
     // public surface keeps the paper's probability-space notation.
     for c in &mut rows {

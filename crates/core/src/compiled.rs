@@ -173,18 +173,13 @@ pub struct CompiledTable {
     /// Summary of the delta that produced this epoch (`None` at the root).
     delta: Option<AppliedDelta>,
     /// The D'-invariant rows (Theorems 1–3), per bucket, in bucket-local
-    /// coordinates and count space — the epoch-shareable unit. Sessions
-    /// address them as the prefix of the virtual
-    /// `[invariants..., knowledge...]` row list via `row_offsets`.
+    /// coordinates and count space — the epoch-shareable unit.
     ///
     /// Derived state: `bucket_invariant_rows` is a pure function of the
     /// table and config, so [`CompiledTable::from_persisted`] leaves this
     /// unset and the first use re-derives it — bit-identical by
     /// construction. `build`/`apply` still fill it eagerly.
     bucket_rows: OnceLock<Vec<Arc<Vec<Constraint>>>>,
-    /// Prefix sums of per-bucket invariant row counts (`len = m + 1`);
-    /// derived from `bucket_rows`, same laziness.
-    row_offsets: OnceLock<Vec<usize>>,
     /// QI symbol → buckets containing it (knowledge-compilation index),
     /// one `Arc` per symbol so epochs share unchanged entries. Derived
     /// state, like `bucket_rows`.
@@ -220,7 +215,6 @@ impl CompiledTable {
         let bucket_rows: Vec<Arc<Vec<Constraint>>> = (0..m)
             .map(|b| Arc::new(bucket_invariant_rows(table.bucket(b), b, config.concise_invariants)))
             .collect();
-        let row_offsets = prefix_offsets(&bucket_rows);
         let qi_buckets = qi_bucket_index(&table);
         let baseline_start = Instant::now(); // pm-audit: allow(determinism, reason = "wall-clock telemetry only: feeds solve/build duration stats, never the estimate bytes")
         let bucket_baselines: Vec<Arc<[f64]>> =
@@ -231,7 +225,7 @@ impl CompiledTable {
             buckets: m,
             distinct_qi: table.interner().distinct(),
             terms: index.len(),
-            invariant_rows: *row_offsets.last().expect("offsets hold the leading 0"),
+            invariant_rows: bucket_rows.iter().map(|rows| rows.len()).sum(),
             components: m,
             recompiled_buckets: m,
             build: start.elapsed(),
@@ -246,7 +240,6 @@ impl CompiledTable {
             parent_uid: None,
             delta: None,
             bucket_rows: OnceLock::from(bucket_rows),
-            row_offsets: OnceLock::from(row_offsets),
             qi_buckets: OnceLock::from(qi_buckets),
             baseline_components: OnceLock::new(),
             baseline_estimate: OnceLock::new(),
@@ -260,7 +253,7 @@ impl CompiledTable {
     /// ground-truth sections — table, term index, Theorem-5 baselines —
     /// stay as raw bytes inside the [`DeferredSnapshot`] and hydrate into
     /// the [`CoreState`] on first use, and everything derived from them
-    /// (invariant rows, row offsets, QI→bucket index) re-derives lazily
+    /// (invariant rows, QI→bucket index) re-derives lazily
     /// from the same pure functions `build` runs. The loaded artifact is
     /// bit-identical to the one that was saved, and the load itself pays
     /// for none of the materialization.
@@ -298,7 +291,6 @@ impl CompiledTable {
             parent_uid: None,
             delta,
             bucket_rows: OnceLock::new(),
-            row_offsets: OnceLock::new(),
             qi_buckets: OnceLock::new(),
             baseline_components: OnceLock::new(),
             baseline_estimate: OnceLock::new(),
@@ -375,7 +367,6 @@ impl CompiledTable {
             bucket_baselines[b] = Arc::from(uniform_bucket_values(&table, &index, b));
         }
         let baseline_solve = baseline_start.elapsed();
-        let row_offsets = prefix_offsets(&bucket_rows);
 
         // QI→bucket index: edit only symbols whose membership in a touched
         // bucket flipped (plus newly interned symbols, which by
@@ -410,7 +401,7 @@ impl CompiledTable {
             buckets: m,
             distinct_qi: table.interner().distinct(),
             terms: index.len(),
-            invariant_rows: *row_offsets.last().expect("offsets hold the leading 0"),
+            invariant_rows: bucket_rows.iter().map(|rows| rows.len()).sum(),
             components: m,
             recompiled_buckets: touched.len(),
             build: Duration::default(),
@@ -425,7 +416,6 @@ impl CompiledTable {
             parent_uid: Some(self.uid),
             delta: Some(applied),
             bucket_rows: OnceLock::from(bucket_rows),
-            row_offsets: OnceLock::from(row_offsets),
             qi_buckets: OnceLock::from(qi_buckets),
             baseline_components: OnceLock::new(),
             baseline_estimate: OnceLock::new(),
@@ -480,10 +470,12 @@ impl CompiledTable {
     }
 
     /// Number of invariant rows (the rank of the invariant system under
-    /// [`EngineConfig::concise_invariants`], Theorem 3).
+    /// [`EngineConfig::concise_invariants`], Theorem 3) — the build's
+    /// [`CompileStats::invariant_rows`], so a loaded artifact answers from
+    /// its snapshot metadata without deriving any bucket's rows.
     #[must_use]
     pub fn num_invariants(&self) -> usize {
-        *self.row_offsets().last().expect("offsets hold the leading 0")
+        self.stats.invariant_rows
     }
 
     /// Components of the knowledge-free baseline partition.
@@ -528,11 +520,7 @@ impl CompiledTable {
     }
 
     pub(crate) fn rows<'a>(&'a self, knowledge: &'a [Constraint]) -> RowSet<'a> {
-        RowSet {
-            bucket_rows: self.bucket_rows(),
-            row_offsets: self.row_offsets(),
-            knowledge,
-        }
+        RowSet { bucket_rows: self.bucket_rows(), knowledge }
     }
 
     /// The per-bucket invariant rows, deriving them on first use for a
@@ -551,11 +539,6 @@ impl CompiledTable {
                 })
                 .collect()
         })
-    }
-
-    /// Prefix sums of per-bucket invariant row counts, derived on first use.
-    pub(crate) fn row_offsets(&self) -> &[usize] {
-        self.row_offsets.get_or_init(|| prefix_offsets(self.bucket_rows()))
     }
 
     pub(crate) fn qi_buckets(&self) -> &[Arc<[usize]>] {
@@ -594,17 +577,6 @@ impl CompiledTable {
             && Arc::ptr_eq(&self.bucket_rows()[b], &other.bucket_rows()[b])
             && Arc::ptr_eq(&mine.bucket_baselines[b], &theirs.bucket_baselines[b])
     }
-}
-
-fn prefix_offsets(bucket_rows: &[Arc<Vec<Constraint>>]) -> Vec<usize> {
-    let mut offsets = Vec::with_capacity(bucket_rows.len() + 1);
-    let mut total = 0usize;
-    offsets.push(0);
-    for rows in bucket_rows {
-        total += rows.len();
-        offsets.push(total);
-    }
-    offsets
 }
 
 // Compile-time contract: the whole point of the artifact is to be shared

@@ -31,8 +31,9 @@
 //! solve, run only as a one-shot: one maxent system holding every bucket
 //! and every knowledge row, as in the paper's Section 7 timing runs. Both
 //! go through the one component solver in this module
-//! (`solve_component`), so every entry point runs the identical numeric
-//! path.
+//! (`solve_component`), whose numeric half (`solve_system`) also solves
+//! the Section 6 person system ([`crate::individuals`]), so every entry
+//! point runs the identical numeric path.
 //!
 //! # Parallelism
 //!
@@ -68,40 +69,22 @@ use crate::partition::Component;
 use crate::preprocess::{preprocess_flat, FlatRows};
 use crate::terms::TermIndex;
 
-/// The constraint rows a component solve addresses, as one virtual list
-/// `[invariants..., knowledge...]` without materialising it.
+/// The constraint rows a component solve addresses: the artifact's
+/// invariant rows and the session's knowledge rows, never materialised as
+/// one list.
 ///
-/// The invariant prefix lives in the shared
+/// The invariant rows live in the shared
 /// [`crate::compiled::CompiledTable`] artifact as **per-bucket row lists in
 /// bucket-local coordinates** (so untouched buckets share them across
-/// table epochs); `row_offsets` are the prefix sums mapping a bucket to its
-/// global row range. The knowledge tail — global term coordinates — is the
-/// session's private, per-refresh state. Global constraint indices in
-/// [`Component::knowledge_rows`] address this virtual list: `ci <
-/// num_invariants` is an invariant row, anything above is
-/// `knowledge[ci - num_invariants]`. All right-hand sides are count-space.
+/// table epochs). The knowledge rows — global term coordinates — are the
+/// session's private, per-refresh state; [`Component::knowledge_rows`]
+/// holds positions in them. All right-hand sides are count-space.
 #[derive(Clone, Copy)]
 pub(crate) struct RowSet<'a> {
     /// Per-bucket invariant rows (bucket-local coefficients, count rhs).
     pub(crate) bucket_rows: &'a [Arc<Vec<Constraint>>],
-    /// Prefix sums of per-bucket invariant row counts (`len = m + 1`).
-    pub(crate) row_offsets: &'a [usize],
-    /// The session's knowledge rows (tail of the virtual list, global term
-    /// coordinates).
+    /// The session's knowledge rows (global term coordinates).
     pub(crate) knowledge: &'a [Constraint],
-}
-
-impl RowSet<'_> {
-    /// Rows in the invariant prefix.
-    pub(crate) fn num_invariants(&self) -> usize {
-        *self.row_offsets.last().expect("offsets hold the leading 0")
-    }
-
-    /// The knowledge row behind global row index `ci` (`ci ≥
-    /// num_invariants`, as every [`Component::knowledge_rows`] entry is).
-    pub(crate) fn knowledge_row(&self, ci: usize) -> &Constraint {
-        &self.knowledge[ci - self.num_invariants()]
-    }
 }
 
 /// Outcome of one component solve, produced on a worker thread and merged
@@ -540,10 +523,9 @@ impl Engine {
             artifact.qi_buckets(),
             self.config.threads,
         )?;
-        let invariants = artifact.num_invariants();
         let joint = Component {
             buckets: (0..table.num_buckets()).collect(),
-            knowledge_rows: (invariants..invariants + knowledge.len()).collect(),
+            knowledge_rows: (0..knowledge.len()).collect(),
         };
         let rows = artifact.rows(&knowledge);
         let sol = solve_component(
@@ -653,7 +635,7 @@ impl SolveScratch {
             }
         }
         for &ci in &comp.knowledge_rows {
-            let c = rows.knowledge_row(ci);
+            let c = &rows.knowledge[ci];
             coeffs.extend(c.coeffs.iter().map(|&(t, v)| (local_of(t), v)));
             bounds.push(coeffs.len());
             rhs.push(c.rhs);
@@ -703,23 +685,14 @@ impl SolveScratch {
 /// state (runs on a worker thread); the caller merges the returned
 /// [`ComponentSolution`] in component order.
 ///
-/// One path for every caller: localise the component's rows, preprocess
-/// them ([`preprocess_flat`]), run one cold-started L-BFGS on the dual,
-/// and check the result against [`EngineConfig::residual_limit`] — a solve
-/// that leaves more than that fraction of the component's record mass
-/// unexplained returns [`PmError::SolverFailed`] instead of an estimate.
-///
-/// The whole solve happens in **count space** (targets and values are
-/// record counts): counts are integers, so a component whose buckets and
-/// knowledge rows are untouched by a table delta sees a bit-identical
-/// local system in every epoch — the foundation of the session engine's
-/// reuse guarantee. The caller divides by `N` when assembling an estimate.
-///
-/// Every solve cold-starts from the dual origin, so the result is a
-/// function of the component's localised system alone
-/// ([`SolveScratch::localise`]): two components with byte-equal systems get
-/// identical bits, and so do a reused scratch and a fresh one — only
-/// allocation traffic differs.
+/// Localises the component's rows ([`SolveScratch::localise`]) and hands
+/// the local system to [`solve_system`], the numeric half every system the
+/// engine solves goes through. The whole solve happens in **count space**
+/// (targets and values are record counts): counts are integers, so a
+/// component whose buckets and knowledge rows are untouched by a table
+/// delta sees a bit-identical local system in every epoch — the
+/// foundation of the session engine's reuse guarantee. The caller divides
+/// by `N` when assembling an estimate.
 pub(crate) fn solve_component(
     config: &EngineConfig,
     table: &PublishedTable,
@@ -730,7 +703,28 @@ pub(crate) fn solve_component(
 ) -> Result<ComponentSolution, PmError> {
     scratch.localise(table, index, rows, comp);
     let SolveScratch { coeffs, bounds, rhs, n_local, mass, .. } = scratch;
-    let reduced = preprocess_flat(FlatRows { coeffs, bounds, rhs }, *n_local)?;
+    solve_system(config, FlatRows { coeffs, bounds, rhs }, *n_local, *mass)
+}
+
+/// The one numeric solve path: preprocess the flat system
+/// ([`preprocess_flat`]), run one cold-started L-BFGS on the dual, and
+/// check the result against [`EngineConfig::residual_limit`] — a solve
+/// that leaves more than that fraction of `mass` (the system's record
+/// count) unexplained returns [`PmError::SolverFailed`] instead of an
+/// estimate. Section 5.5 components and the Section 6 person system
+/// ([`crate::individuals`]) both end here.
+///
+/// Every solve cold-starts from the dual origin, so the result is a
+/// function of `(system, n_terms, mass)` alone: two components with
+/// byte-equal systems get identical bits, and so do a reused scratch and a
+/// fresh one — only allocation traffic differs.
+pub(crate) fn solve_system(
+    config: &EngineConfig,
+    system: FlatRows<'_>,
+    n_terms: usize,
+    mass: f64,
+) -> Result<ComponentSolution, PmError> {
+    let reduced = preprocess_flat(system, n_terms)?;
     let num_constraints = reduced.rows.len();
     let num_free_terms = reduced.num_free();
     if num_free_terms == 0 {
@@ -755,9 +749,9 @@ pub(crate) fn solve_component(
     let solution = solver.minimize(&dual, &lambda0);
     let primal = dual.primal(&solution.x);
 
-    // The accuracy contract, scaled by the component's own record mass.
+    // The accuracy contract, scaled by the system's own record mass.
     let residual = dual.residual(&primal);
-    if residual > config.residual_limit * *mass {
+    if residual > config.residual_limit * mass {
         return Err(PmError::SolverFailed { residual });
     }
 

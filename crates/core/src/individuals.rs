@@ -1,113 +1,133 @@
-//! Knowledge about individuals (Section 6): the pseudonym-expanded engine.
+//! Knowledge about individuals (Section 6): the pseudonym-expanded system.
 //!
 //! Statements like "Alice (whose QI is q₁) has breast cancer with
 //! probability 0.2" cannot be expressed over `P(Q, S, B)` when several
 //! people share `q₁`. The paper therefore re-attaches *pseudonyms* to the
 //! published table (Figure 4) and works with terms `P(i, q, s, b)` where `i`
-//! ranges over the pseudonym set of `q`.
+//! ranges over the pseudonym set of `q` — the tuple ids that turn the bag
+//! of records into a set.
 //!
-//! Invariant structure over the expanded terms (the "derivation is similar"
-//! the paper sketches):
+//! The paper derives the expanded system "similarly" to the base one; here
+//! it is a function of the artifact's system
+//! ([`crate::compiled::CompiledTable`]):
 //!
-//! * **Person invariant** — each person appears exactly once:
-//!   `Σ_b Σ_s P(i, q, s, b) = 1/N` for every pseudonym `i` (with `q` its
-//!   owner).
-//! * **QI-bucket invariant** — the mass of `q` records in bucket `b` is
-//!   published: `Σ_i Σ_s P(i, q, s, b) = P(q, b)`.
-//! * **SA-bucket invariant** — the bucket's SA multiset is published:
-//!   `Σ_i P(i, owner(i), s, b) = P(s, b)`.
-//! * **Zero invariants** — structural, as in the base engine.
+//! * **Terms** — base term `(q, s, b)` owns one slot per pseudonym of `q`,
+//!   laid out by offset arithmetic over the base [`TermIndex`]: bucket,
+//!   symbol, pseudonym, SA value.
+//! * **QI-bucket, SA-bucket and knowledge rows** — the artifact's
+//!   per-bucket invariant rows and the compiled distribution-knowledge
+//!   rows, with every coefficient split over its term's slots:
+//!   `Σ_i P(i, q, s, b)` stands where `P(q, s, b)` stood.
+//! * **Person rows** — the one new invariant: each person appears exactly
+//!   once, `Σ_b Σ_s P(i, q, s, b) = 1/N` (count 1) for every pseudonym.
+//! * **Individual statements** — one row each, over the named people's
+//!   slots.
+//!
+//! The system is one component holding every record. It is solved on the
+//! engine's one numeric path — preprocess, one cold-started L-BFGS, and
+//! the accuracy contract of [`EngineConfig::residual_limit`] — so an
+//! answer that misses it is [`PmError::SolverFailed`], never an estimate.
+//! The contract's record mass is that of the buckets holding the named
+//! people's symbols (`N` when no one is named): a statement about one
+//! person targets at most one record, and the table's `N` would be too
+//! loose a scale for it.
 //!
 //! Without individual knowledge the maxent solution is symmetric in the
 //! pseudonyms of each `q`, and its `i`-marginal recovers the base engine's
 //! `P(q, s, b)` — verified in the tests.
 
-use std::collections::HashMap;
+use std::ops::Range;
+use std::slice;
 use std::sync::Arc;
 use std::time::Instant;
 
 use pm_anonymize::pseudonym::{PseudonymId, PseudonymTable};
 use pm_anonymize::published::PublishedTable;
-use pm_linalg::CsrMatrix;
 use pm_microdata::qi::QiId;
 use pm_microdata::value::Value;
-use pm_solver::stats::StopReason;
-use pm_solver::{Lbfgs, LbfgsConfig, MaxEntDual};
 
-use crate::compile::qi_bucket_index;
-use crate::engine::EngineStats;
-use crate::error::CoreError;
+use crate::compile::compile_items_parallel;
+use crate::compiled::CompiledTable;
+use crate::engine::{counts_to_probabilities, solve_system, EngineConfig, EngineStats, Estimate};
+use crate::error::{CoreError, PmError};
 use crate::knowledge::{Knowledge, KnowledgeBase};
-use crate::preprocess::preprocess;
+use crate::preprocess::FlatRows;
+use crate::terms::TermIndex;
 
-/// One admissible expanded term `P(i, q, s, b)` (`q` = owner of `i`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct PersonTerm {
-    /// Pseudonym.
-    pub i: PseudonymId,
-    /// SA value.
-    pub s: Value,
-    /// Bucket.
-    pub b: usize,
+/// The person slots of one base term: one per pseudonym of its symbol,
+/// `stride` apart.
+#[derive(Debug, Clone, Copy)]
+struct Slots {
+    first: usize,
+    count: usize,
+    stride: usize,
 }
 
-/// Index over expanded terms.
+impl Slots {
+    /// The slot of the symbol's `j`-th pseudonym.
+    fn at(self, j: usize) -> usize {
+        self.first + j * self.stride
+    }
+
+    fn iter(self) -> impl Iterator<Item = usize> {
+        (0..self.count).map(move |j| self.at(j))
+    }
+}
+
+/// Person terms by offset arithmetic over the base [`TermIndex`]. A base
+/// bucket's terms are QI-major (one block of `h_b` SA values per symbol),
+/// so bucket `b` expands into one such block per (symbol, pseudonym): the
+/// `j`-th pseudonym of base term `t`'s symbol sits at `first + j · h_b`.
 #[derive(Debug, Clone)]
-pub struct PersonTermIndex {
-    terms: Vec<PersonTerm>,
-    lookup: HashMap<(PseudonymId, Value, usize), usize>,
+struct PersonLayout {
+    /// Per base term.
+    slots: Vec<Slots>,
+    /// Number of person terms.
+    len: usize,
 }
 
-impl PersonTermIndex {
-    /// Builds the index: term `(i, s, b)` is admissible iff `owner(i) ∈
-    /// QI(b)` and `s ∈ SA(b)`.
-    pub fn build(table: &PublishedTable, pseudonyms: &PseudonymTable) -> Self {
-        let mut terms = Vec::new();
-        let mut lookup = HashMap::new();
-        for b in 0..table.num_buckets() {
-            let bucket = table.bucket(b);
+impl PersonLayout {
+    fn build(table: &PublishedTable, pseudonyms: &PseudonymTable) -> Self {
+        let mut slots = Vec::new();
+        let mut len = 0;
+        for bucket in table.buckets() {
+            let stride = bucket.distinct_sa();
             for &(q, _) in bucket.qi_counts() {
-                for i in pseudonyms.pseudonyms_of(q) {
-                    for &(s, _) in bucket.sa_counts() {
-                        lookup.insert((i, s, b), terms.len());
-                        terms.push(PersonTerm { i, s, b });
-                    }
-                }
+                let count = pseudonyms.multiplicity(q);
+                slots.extend((len..len + stride).map(|first| Slots { first, count, stride }));
+                len += count * stride;
             }
         }
-        Self { terms, lookup }
+        Self { slots, len }
     }
+}
 
-    /// Number of expanded terms.
-    pub fn len(&self) -> usize {
-        self.terms.len()
-    }
+/// Pseudonym `i`'s symbol and its rank among the symbol's pseudonyms, or
+/// `None` when `i` is out of range.
+fn person(pseudonyms: &PseudonymTable, i: PseudonymId) -> Option<(QiId, usize)> {
+    let q = (i < pseudonyms.total()).then(|| pseudonyms.owner(i))?;
+    Some((q, i - pseudonyms.pseudonyms_of(q).start))
+}
 
-    /// Whether the index is empty.
-    pub fn is_empty(&self) -> bool {
-        self.terms.is_empty()
-    }
-
-    /// Index of `(i, s, b)` if admissible.
-    pub fn get(&self, i: PseudonymId, s: Value, b: usize) -> Option<usize> {
-        self.lookup.get(&(i, s, b)).copied()
-    }
-
-    /// The term at `idx`.
-    pub fn term(&self, idx: usize) -> PersonTerm {
-        self.terms[idx]
-    }
+/// The base terms of symbol `q` in bucket `b` (one per SA value of the
+/// bucket), or `None` when `q ∉ QI(b)`.
+fn block(table: &PublishedTable, index: &TermIndex, q: QiId, b: usize) -> Option<Range<usize>> {
+    let bucket = table.bucket(b);
+    let pos = bucket.qi_counts().binary_search_by_key(&q, |&(q, _)| q).ok()?;
+    let start = index.bucket_range(b).start + pos * bucket.distinct_sa();
+    Some(start..start + bucket.distinct_sa())
 }
 
 /// The estimate produced by the individual engine.
 #[derive(Debug, Clone)]
 pub struct PersonEstimate {
+    /// Person-term values (probability space), in slot order.
     values: Vec<f64>,
-    index: PersonTermIndex,
+    layout: PersonLayout,
+    artifact: Arc<CompiledTable>,
     pseudonyms: PseudonymTable,
-    sa_cardinality: usize,
-    distinct_qi: usize,
-    qi_marginal: Vec<f64>,
+    /// The pseudonym-summed values `P(q, s, b)`, assembled once.
+    marginal: Estimate,
     /// Solver statistics.
     pub stats: EngineStats,
 }
@@ -115,21 +135,28 @@ pub struct PersonEstimate {
 impl PersonEstimate {
     /// `P(i, s, b)` for pseudonym `i` (0 if inadmissible).
     pub fn p_isb(&self, i: PseudonymId, s: Value, b: usize) -> f64 {
-        self.index.get(i, s, b).map(|t| self.values[t]).unwrap_or(0.0)
+        let Some((q, j)) = person(&self.pseudonyms, i) else { return 0.0 };
+        self.artifact
+            .term_index()
+            .get(q, s, b)
+            .map_or(0.0, |t| self.values[self.layout.slots[t].at(j)])
     }
 
     /// Posterior over SA values for one person:
-    /// `P(s | i) = N · Σ_b P(i, q, s, b)`.
+    /// `P(s | i) = N · Σ_b P(i, q, s, b)`, walking only that person's
+    /// terms.
     pub fn person_posterior(&self, i: PseudonymId) -> Vec<f64> {
-        let n = self.pseudonyms.total() as f64;
-        let q = self.pseudonyms.owner(i);
-        let mut row = vec![0.0; self.sa_cardinality];
-        for (t, term) in self.index.terms.iter().enumerate() {
-            if term.i == i {
-                row[term.s as usize] += self.values[t];
+        let table = self.artifact.table();
+        let mut row = vec![0.0; table.sa_cardinality()];
+        let Some((q, j)) = person(&self.pseudonyms, i) else { return row };
+        let index = self.artifact.term_index();
+        for &b in self.artifact.qi_buckets()[q].iter() {
+            let terms = block(table, index, q, b).expect("q's buckets hold q");
+            for (t, &(s, _)) in terms.zip(table.bucket(b).sa_counts()) {
+                row[s as usize] += self.values[self.layout.slots[t].at(j)];
             }
         }
-        let _ = q;
+        let n = self.pseudonyms.total() as f64;
         for v in &mut row {
             *v *= n;
         }
@@ -137,236 +164,186 @@ impl PersonEstimate {
     }
 
     /// The `i`-marginalised conditional `P*(s | q)` — comparable with the
-    /// base engine's [`crate::engine::Estimate::conditional`].
+    /// base engine's [`crate::engine::Estimate::conditional`], and read from
+    /// the same dense table; 0 for an SA value outside the table's domain.
+    ///
+    /// # Panics
+    /// Panics (with a descriptive message) if `q` is not a QI symbol of the
+    /// published table.
+    #[track_caller]
     pub fn conditional(&self, q: QiId, s: Value) -> f64 {
-        let pq = self.qi_marginal[q];
-        if pq == 0.0 {
-            return 0.0;
-        }
-        let joint: f64 = self
-            .index
-            .terms
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| self.pseudonyms.owner(t.i) == q && t.s == s)
-            .map(|(ti, _)| self.values[ti])
-            .sum();
-        (joint / pq).clamp(0.0, 1.0)
+        self.marginal.conditional_row(q).get(s as usize).copied().unwrap_or(0.0)
     }
 
     /// Number of distinct QI symbols.
     pub fn distinct_qi(&self) -> usize {
-        self.distinct_qi
+        self.marginal.distinct_qi()
     }
 }
 
-/// The pseudonym-expanded Privacy-MaxEnt engine.
+/// The one-shot Section 6 engine: builds the artifact of a table and
+/// solves its pseudonym-expanded system under [`EngineConfig::default`].
 #[derive(Debug, Clone, Default)]
-pub struct IndividualEngine {
-    /// Dual-solver tolerance (count space).
-    pub tolerance: f64,
-    /// Iteration budget.
-    pub max_iterations: usize,
-}
+pub struct IndividualEngine;
 
 impl IndividualEngine {
-    /// Creates an engine with default solver settings.
+    /// Creates an engine.
     pub fn new() -> Self {
-        Self { tolerance: 1e-9, max_iterations: 5000 }
+        Self
     }
 
     /// Estimates `P(i, q, s, b)` under a knowledge base that may mix
-    /// distribution knowledge and individual knowledge.
+    /// distribution knowledge and individual knowledge. Distribution items
+    /// compile as the base engine compiles them, in `kb` order; individual
+    /// statements follow, in `kb` order.
     pub fn estimate(
         &self,
         table: &PublishedTable,
         kb: &KnowledgeBase,
     ) -> Result<PersonEstimate, CoreError> {
         let start = Instant::now();
-        let tolerance = if self.tolerance > 0.0 { self.tolerance } else { 1e-9 };
-        let max_iterations = if self.max_iterations > 0 { self.max_iterations } else { 5000 };
-        let pseudonyms = PseudonymTable::from_interner(table.interner());
-        let index = PersonTermIndex::build(table, &pseudonyms);
-        let buckets_of = qi_bucket_index(table);
-        let n = table.total_records() as f64;
-
-        // --- Invariants (count space: targets are record counts). ---
-        let mut rows: Vec<Vec<(usize, f64)>> = Vec::new();
-        let mut rhs: Vec<f64> = Vec::new();
-
-        // Person invariants: Σ_{b,s} P(i,·) = 1/N  → count 1.
-        for (q, buckets) in buckets_of.iter().enumerate() {
-            for i in pseudonyms.pseudonyms_of(q) {
-                let mut row = Vec::new();
-                for &b in buckets.iter() {
-                    for &(s, _) in table.bucket(b).sa_counts() {
-                        row.push((index.get(i, s, b).expect("admissible"), 1.0));
-                    }
-                }
-                rows.push(row);
-                rhs.push(1.0);
-            }
-        }
-        // QI-bucket invariants: Σ_{i,s} = count(q, b).
-        for b in 0..table.num_buckets() {
-            let bucket = table.bucket(b);
-            for &(q, qc) in bucket.qi_counts() {
-                let mut row = Vec::new();
-                for i in pseudonyms.pseudonyms_of(q) {
-                    for &(s, _) in bucket.sa_counts() {
-                        row.push((index.get(i, s, b).expect("admissible"), 1.0));
-                    }
-                }
-                rows.push(row);
-                rhs.push(qc as f64);
-            }
-            // SA-bucket invariants: Σ_i = count(s, b). Drop the first per
-            // bucket (conciseness carries over: the same single dependency
-            // exists among the bucket's QI- and SA-sums).
-            for (k, &(s, sc)) in bucket.sa_counts().iter().enumerate() {
-                if k == 0 {
-                    continue;
-                }
-                let mut row = Vec::new();
-                for &(q, _) in bucket.qi_counts() {
-                    for i in pseudonyms.pseudonyms_of(q) {
-                        row.push((index.get(i, s, b).expect("admissible"), 1.0));
-                    }
-                }
-                rows.push(row);
-                rhs.push(sc as f64);
-            }
-        }
-
-        // --- Knowledge. ---
-        for item in kb.items() {
-            item.validate()?;
-            match item {
-                Knowledge::Conditional { antecedent, sa, probability } => {
-                    // Same as the base engine, expanded over pseudonyms.
-                    let mut row = Vec::new();
-                    let mut matching = 0usize;
-                    for q in table.interner().matching(antecedent) {
-                        matching += table.interner().count(q);
-                        for &b in buckets_of[q].iter() {
-                            for i in pseudonyms.pseudonyms_of(q) {
-                                if let Some(t) = index.get(i, *sa, b) {
-                                    row.push((t, 1.0));
-                                }
-                            }
-                        }
-                    }
-                    if matching == 0 {
-                        return Err(CoreError::InvalidKnowledge {
-                            detail: "antecedent matches no record".into(),
-                        });
-                    }
-                    rows.push(row);
-                    rhs.push(probability * matching as f64);
-                }
-                Knowledge::IndividualSa { pseudonym, sa, probability } => {
-                    let row = person_sa_row(&buckets_of, &pseudonyms, &index, *pseudonym, &[*sa])?;
-                    rows.push(row);
-                    rhs.push(*probability);
-                }
-                Knowledge::IndividualOneOf { pseudonym, sas } => {
-                    let row = person_sa_row(&buckets_of, &pseudonyms, &index, *pseudonym, sas)?;
-                    rows.push(row);
-                    rhs.push(1.0);
-                }
-                Knowledge::GroupCount { pseudonyms: people, sa, count } => {
-                    let mut row = Vec::new();
-                    for &i in people {
-                        row.extend(person_sa_row(&buckets_of, &pseudonyms, &index, i, &[*sa])?);
-                    }
-                    rows.push(row);
-                    rhs.push(*count as f64);
-                }
-            }
-        }
-
-        // --- Preprocess + solve (count space throughout). ---
-        let constraints: Vec<crate::constraint::Constraint> = rows
-            .into_iter()
-            .zip(rhs)
-            .enumerate()
-            .map(|(i, (coeffs, rhs))| crate::constraint::Constraint {
-                coeffs,
-                rhs,
-                origin: crate::constraint::ConstraintOrigin::Knowledge { index: i },
-            })
-            .collect();
-        let reduced = preprocess(&constraints, index.len())?;
-
-        let mut stats = EngineStats {
-            num_components: 1,
-            num_constraints: reduced.rows.len(),
-            num_free_terms: reduced.num_free(),
-            ..Default::default()
-        };
-
-        let counts = if reduced.num_free() == 0 {
-            reduced.expand(&[])
-        } else {
-            let a = CsrMatrix::from_rows(reduced.num_free(), &reduced.rows);
-            let dual = MaxEntDual::new(a, reduced.rhs.clone());
-            let cfg = LbfgsConfig {
-                tolerance,
-                max_iterations,
-                ..Default::default()
-            };
-            let sol = Lbfgs::new(cfg).minimize(&dual, &vec![0.0; dual.num_constraints()]);
-            let p = dual.primal(&sol.x);
-            let residual = dual.residual(&p);
-            if residual > 1e-5 && sol.stats.stop != StopReason::Converged {
-                return Err(CoreError::SolverFailed { residual });
-            }
-            stats.component_stats.push(sol.stats);
-            reduced.expand(&p)
-        };
-        let values: Vec<f64> = counts.iter().map(|v| v / n).collect();
-        stats.total_elapsed = start.elapsed();
-
-        let qi_marginal: Vec<f64> = (0..table.interner().distinct())
-            .map(|q| table.p_qi(q))
-            .collect();
-        Ok(PersonEstimate {
-            values,
-            index,
-            pseudonyms,
-            sa_cardinality: table.sa_cardinality(),
-            distinct_qi: table.interner().distinct(),
-            qi_marginal,
-            stats,
-        })
+        let artifact = Arc::new(CompiledTable::build(table.clone(), EngineConfig::default())?);
+        let (individuals, conditional): (Vec<Knowledge>, Vec<Knowledge>) =
+            kb.items().iter().cloned().partition(Knowledge::is_individual);
+        let knowledge = compile_items_parallel(
+            &conditional,
+            artifact.table(),
+            artifact.term_index(),
+            artifact.qi_buckets(),
+            artifact.config().threads,
+        )?;
+        let knowledge = knowledge.iter().map(|c| (c.coeffs.as_slice(), c.rhs));
+        let mut estimate = estimate_persons(&artifact, knowledge, &individuals)?;
+        estimate.stats.total_elapsed = start.elapsed();
+        Ok(estimate)
     }
-
 }
 
-/// Row `Σ_b Σ_{s∈sas} P(i, q, s, b)` for one person, over the buckets of
-/// its symbol `q` (`buckets_of` is the table's [`qi_bucket_index`]).
-fn person_sa_row(
-    buckets_of: &[Arc<[usize]>],
-    pseudonyms: &PseudonymTable,
-    index: &PersonTermIndex,
-    i: PseudonymId,
-    sas: &[Value],
-) -> Result<Vec<(usize, f64)>, CoreError> {
-    if i >= pseudonyms.total() {
-        return Err(CoreError::InvalidKnowledge {
-            detail: format!("pseudonym {i} out of range"),
-        });
-    }
-    let q = pseudonyms.owner(i);
-    let mut row = Vec::new();
-    for &b in buckets_of[q].iter() {
-        for &s in sas {
-            if let Some(t) = index.get(i, s, b) {
-                row.push((t, 1.0));
+/// Builds and solves the person system of `artifact`: `knowledge` holds
+/// the compiled distribution-knowledge rows (global base terms, count
+/// space) and `individuals` the individual statements. Rows go person
+/// rows first, then each bucket's invariant rows, then `knowledge`, then
+/// `individuals`, each in order. The solve is judged with the record mass
+/// of the buckets that hold the named people's symbols.
+pub(crate) fn estimate_persons<'a>(
+    artifact: &Arc<CompiledTable>,
+    knowledge: impl IntoIterator<Item = (&'a [(usize, f64)], f64)>,
+    individuals: &[Knowledge],
+) -> Result<PersonEstimate, PmError> {
+    let start = Instant::now();
+    let (table, index) = (artifact.table(), artifact.term_index());
+    let pseudonyms = PseudonymTable::from_interner(table.interner());
+    let layout = PersonLayout::build(table, &pseudonyms);
+    debug_assert_eq!(layout.slots.len(), index.len(), "one slot run per base term");
+    let (mut coeffs, mut bounds, mut rhs) = (Vec::new(), vec![0], Vec::new());
+    let mut end_row = |end: usize, target: f64| {
+        bounds.push(end);
+        rhs.push(target);
+    };
+
+    // Person rows: every pseudonym is one record, over its symbol's blocks.
+    for (q, buckets) in artifact.qi_buckets().iter().enumerate() {
+        let blocks: Vec<Range<usize>> = buckets
+            .iter()
+            .map(|&b| block(table, index, q, b).expect("q's buckets hold q"))
+            .collect();
+        for j in 0..pseudonyms.multiplicity(q) {
+            for terms in &blocks {
+                coeffs.extend(terms.clone().map(|t| (layout.slots[t].at(j), 1.0)));
             }
+            end_row(coeffs.len(), 1.0);
         }
     }
-    Ok(row)
+    // QI- and SA-bucket rows: the artifact's, each term split over its
+    // slots, in slot order.
+    for (b, rows) in artifact.bucket_rows().iter().enumerate() {
+        let base = index.bucket_range(b).start;
+        for c in rows.iter() {
+            let row = coeffs.len();
+            for &(t, v) in &c.coeffs {
+                coeffs.extend(layout.slots[base + t].iter().map(|p| (p, v)));
+            }
+            coeffs[row..].sort_unstable_by_key(|&(p, _)| p);
+            end_row(coeffs.len(), c.rhs);
+        }
+    }
+    // Distribution knowledge: the compiled rows, split the same way.
+    for (row, target) in knowledge {
+        for &(t, v) in row {
+            coeffs.extend(layout.slots[t].iter().map(|p| (p, v)));
+        }
+        end_row(coeffs.len(), target);
+    }
+    // Individual statements: `Σ_i Σ_b Σ_{s∈sas} P(i, q, s, b)` over the
+    // named people `i`, each over the buckets of its symbol `q`.
+    let mut named = vec![false; table.num_buckets()];
+    for item in individuals {
+        let (people, sas, target) = match item {
+            Knowledge::IndividualSa { pseudonym, sa, probability } => {
+                (slice::from_ref(pseudonym), slice::from_ref(sa), *probability)
+            }
+            Knowledge::IndividualOneOf { pseudonym, sas } => {
+                (slice::from_ref(pseudonym), sas.as_slice(), 1.0)
+            }
+            Knowledge::GroupCount { pseudonyms: people, sa, count } => {
+                (people.as_slice(), slice::from_ref(sa), *count as f64)
+            }
+            Knowledge::Conditional { .. } => unreachable!("callers pass individual knowledge"),
+        };
+        if let Some(s) = sas.iter().find(|&&s| s as usize >= table.sa_cardinality()) {
+            let detail = format!("SA value {s} outside domain");
+            return Err(PmError::InvalidKnowledge { detail });
+        }
+        for &i in people {
+            let (q, j) = person(&pseudonyms, i).ok_or_else(|| PmError::InvalidKnowledge {
+                detail: format!("pseudonym {i} out of range"),
+            })?;
+            for &b in artifact.qi_buckets()[q].iter() {
+                named[b] = true;
+                let terms = sas.iter().filter_map(|&s| index.get(q, s, b));
+                coeffs.extend(terms.map(|t| (layout.slots[t].at(j), 1.0)));
+            }
+        }
+        end_row(coeffs.len(), target);
+    }
+
+    // The contract's record mass: the records of the buckets that hold the
+    // named people's symbols. A statement targets a few records at most, so
+    // the whole table's `N` would answer an infeasible set left a record
+    // short. With no one named, the system is the base one split over
+    // pseudonyms, and its mass is `N`.
+    let named_mass: usize =
+        table.buckets().zip(&named).filter(|&(_, &n)| n).map(|(b, _)| b.size()).sum();
+    let mass = if named_mass > 0 { named_mass } else { table.total_records() };
+    let system = FlatRows { coeffs: &coeffs, bounds: &bounds, rhs: &rhs };
+    let sol = solve_system(artifact.config(), system, layout.len, mass as f64)?;
+    let mut values = sol.values;
+    counts_to_probabilities(&mut values, table);
+    let stats = EngineStats {
+        component_stats: sol.stats.into_iter().collect(),
+        total_elapsed: start.elapsed(),
+        num_components: 1,
+        num_constraints: sol.num_constraints,
+        num_free_terms: sol.num_free_terms,
+        ..Default::default()
+    };
+    let marginal: Vec<f64> =
+        layout.slots.iter().map(|slots| slots.iter().map(|p| values[p]).sum()).collect();
+    let marginal = Estimate::assemble(
+        marginal,
+        Arc::clone(artifact.index_arc()),
+        table,
+        artifact.epoch(),
+        EngineStats::default(),
+    );
+    Ok(PersonEstimate {
+        values,
+        layout,
+        artifact: Arc::clone(artifact),
+        pseudonyms,
+        marginal,
+        stats,
+    })
 }
 
 #[cfg(test)]
@@ -475,12 +452,19 @@ mod tests {
     #[test]
     fn invalid_pseudonym_rejected() {
         let (_, table) = paper_example();
-        let mut kb = KnowledgeBase::new();
-        kb.push(Knowledge::IndividualSa { pseudonym: 999, sa: 0, probability: 0.5 })
-            .unwrap();
-        assert!(matches!(
-            engine().estimate(&table, &kb),
-            Err(CoreError::InvalidKnowledge { .. })
-        ));
+        for item in [
+            Knowledge::IndividualSa { pseudonym: 999, sa: 0, probability: 0.5 },
+            // Distribution knowledge compiles as the base engine compiles
+            // it, SA-domain check included; statements get the same check.
+            Knowledge::Conditional { antecedent: vec![(0, 0)], sa: 99, probability: 0.0 },
+            Knowledge::IndividualSa { pseudonym: 0, sa: 99, probability: 0.0 },
+        ] {
+            let mut kb = KnowledgeBase::new();
+            kb.push(item).unwrap();
+            assert!(matches!(
+                engine().estimate(&table, &kb),
+                Err(CoreError::InvalidKnowledge { .. })
+            ));
+        }
     }
 }

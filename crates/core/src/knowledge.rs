@@ -88,7 +88,7 @@ impl Knowledge {
     }
 
     /// Whether this item concerns individuals (and therefore needs the
-    /// pseudonym-expanded engine).
+    /// pseudonym-expanded system of [`crate::individuals`]).
     pub fn is_individual(&self) -> bool {
         !matches!(self, Self::Conditional { .. })
     }

@@ -16,8 +16,8 @@
 //! 2. **Background knowledge** ([`knowledge`]) — conditional probabilities
 //!    `P(s | Qv) = c` (typically Top-(K+, K−) association rules), compiled
 //!    into ME constraints by [`compile`]; knowledge about individuals
-//!    (Section 6) is handled by the pseudonym-expanded [`individuals`]
-//!    engine.
+//!    (Section 6) splits those same rows over pseudonyms
+//!    ([`individuals`]) and is solved on the same path.
 //!
 //! The pipeline is split **compile-once / serve-many**: everything
 //! knowledge-independent — the term index, the invariants, the QI→bucket

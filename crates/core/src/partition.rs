@@ -54,8 +54,9 @@ impl UnionFind {
 pub struct Component {
     /// Buckets of this component, ascending.
     pub buckets: Vec<usize>,
-    /// Indices (into the full constraint list) of knowledge rows touching
-    /// this component. Empty ⇔ every bucket here is irrelevant.
+    /// Positions (in the knowledge rows [`knowledge_components`] was given)
+    /// of the rows touching this component. Empty ⇔ every bucket here is
+    /// irrelevant.
     pub knowledge_rows: Vec<usize>,
 }
 
@@ -79,7 +80,7 @@ impl Component {
 /// most relevant buckets into a single giant system with nothing left to
 /// decompose. Replacing the row by one per-bucket row (same origin, same
 /// zero target) has the identical solution set and lets
-/// [`connected_components`] fragment the way Section 5.5 intends.
+/// [`knowledge_components`] fragment the way Section 5.5 intends.
 pub fn split_separable_knowledge(
     constraints: Vec<Constraint>,
     index: &TermIndex,
@@ -112,59 +113,25 @@ pub fn split_separable_knowledge(
     out
 }
 
-/// Groups buckets into connected components induced by the knowledge rows
-/// of `constraints` (invariant rows are single-bucket and never join
-/// components).
+/// Groups buckets into connected components induced by `knowledge` rows.
+///
+/// The [`crate::compiled::CompiledTable`] artifact owns the (single-bucket,
+/// partition-neutral) invariant rows and every session shares them, so
+/// the session engine partitions from its private knowledge rows alone.
+/// Each component's `knowledge_rows` are positions in `knowledge`.
 ///
 /// # Ordering (fixed tie-breaking)
 ///
 /// The output is canonical regardless of union-find internals: components
 /// ascend by their smallest bucket id, `buckets` ascend within each
-/// component, and `knowledge_rows` ascend by constraint index. The engine
-/// merges per-component solutions in this order, so the canonical ordering
-/// is what makes parallel estimates bit-identical to sequential ones.
+/// component, and `knowledge_rows` ascend. The engine merges per-component
+/// solutions in this order, so the canonical ordering is what makes
+/// parallel estimates bit-identical to sequential ones.
 #[must_use]
-pub fn connected_components(
-    constraints: &[Constraint],
-    index: &TermIndex,
-) -> Vec<Component> {
-    let rows: Vec<(usize, &Constraint)> = constraints
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| matches!(c.origin, ConstraintOrigin::Knowledge { .. }))
-        .collect();
-    components_from(&rows, index)
-}
-
-/// [`connected_components`] driven by the knowledge rows alone.
-///
-/// The [`crate::compiled::CompiledTable`] artifact owns the (single-bucket,
-/// partition-neutral) invariant rows and every session shares them, so the
-/// session engine partitions from its private knowledge tail without
-/// materialising a merged constraint list. Emitted `knowledge_rows` indices
-/// are `first_row + i` — the rows' positions in the virtual
-/// `[invariants..., knowledge...]` list the component solver addresses
-/// (`first_row` is the invariant count). Identical output to calling
-/// [`connected_components`] on that merged list.
-#[must_use]
-pub fn knowledge_components(
-    knowledge: &[Constraint],
-    first_row: usize,
-    index: &TermIndex,
-) -> Vec<Component> {
-    let rows: Vec<(usize, &Constraint)> = knowledge
-        .iter()
-        .enumerate()
-        .map(|(i, c)| (first_row + i, c))
-        .collect();
-    components_from(&rows, index)
-}
-
-/// Shared core: `rows` are `(global constraint index, knowledge row)`.
-fn components_from(rows: &[(usize, &Constraint)], index: &TermIndex) -> Vec<Component> {
+pub fn knowledge_components(knowledge: &[Constraint], index: &TermIndex) -> Vec<Component> {
     let m = index.num_buckets();
     let mut uf = UnionFind::new(m);
-    for &(_, c) in rows {
+    for c in knowledge {
         let mut first: Option<usize> = None;
         for &(t, _) in &c.coeffs {
             let b = index.bucket_of(t);
@@ -190,7 +157,7 @@ fn components_from(rows: &[(usize, &Constraint)], index: &TermIndex) -> Vec<Comp
         components[comp_id[r]].buckets.push(b);
     }
     // Attach knowledge rows to their component.
-    for &(ci, c) in rows {
+    for (ci, c) in knowledge.iter().enumerate() {
         if let Some(&(t, _)) = c.coeffs.first() {
             let b = index.bucket_of(t);
             let comp = comp_id[root_of[b]];
@@ -214,15 +181,13 @@ fn components_from(rows: &[(usize, &Constraint)], index: &TermIndex) -> Vec<Comp
 mod tests {
     use super::*;
     use crate::compile::compile_conditional;
-    use crate::invariants::data_invariants;
     use pm_anonymize::fixtures::paper_example;
 
     #[test]
     fn no_knowledge_gives_singletons() {
         let (_, table) = paper_example();
         let index = TermIndex::build(&table);
-        let inv = data_invariants(&table, &index, true);
-        let comps = connected_components(&inv, &index);
+        let comps = knowledge_components(&[], &index);
         assert_eq!(comps.len(), 3);
         assert!(comps.iter().all(Component::is_irrelevant));
         let mut all: Vec<usize> = comps.iter().flat_map(|c| c.buckets.clone()).collect();
@@ -236,9 +201,8 @@ mod tests {
         // 1 and 2 (indices 0, 1); bucket 3 stays irrelevant.
         let (_, table) = paper_example();
         let index = TermIndex::build(&table);
-        let mut cs = data_invariants(&table, &index, true);
-        cs.push(compile_conditional(&[(0, 0), (1, 1)], 1, 0.5, 0, &table, &index).unwrap());
-        let comps = connected_components(&cs, &index);
+        let cs = vec![compile_conditional(&[(0, 0), (1, 1)], 1, 0.5, 0, &table, &index).unwrap()];
+        let comps = knowledge_components(&cs, &index);
         assert_eq!(comps.len(), 2);
         let merged = comps.iter().find(|c| c.buckets.len() == 2).unwrap();
         assert_eq!(merged.buckets, vec![0, 1]);
@@ -255,25 +219,23 @@ mod tests {
     fn separable_zero_rows_split_per_bucket() {
         let (_, table) = paper_example();
         let index = TermIndex::build(&table);
-        let mut cs = data_invariants(&table, &index, true);
         // P(hiv | male) = 0 — admissible (male, hiv, b) terms live in
         // buckets 1 and 2.
-        cs.push(compile_conditional(&[(0, 0)], 3, 0.0, 0, &table, &index).unwrap());
+        let cs = vec![compile_conditional(&[(0, 0)], 3, 0.0, 0, &table, &index).unwrap()];
         let n_before = cs.len();
         let cs = split_separable_knowledge(cs, &index);
         assert_eq!(cs.len(), n_before + 1, "one spanning zero row becomes two");
-        let comps = connected_components(&cs, &index);
+        let comps = knowledge_components(&cs, &index);
         assert_eq!(comps.len(), 3, "no buckets fused");
         assert_eq!(comps.iter().filter(|c| Component::is_irrelevant(c)).count(), 1);
 
         // The same rule with non-zero confidence couples the buckets and
         // must be left whole.
-        let mut cs = data_invariants(&table, &index, true);
-        cs.push(compile_conditional(&[(0, 0)], 3, 0.25, 0, &table, &index).unwrap());
+        let cs = vec![compile_conditional(&[(0, 0)], 3, 0.25, 0, &table, &index).unwrap()];
         let n_before = cs.len();
         let cs = split_separable_knowledge(cs, &index);
         assert_eq!(cs.len(), n_before, "informative rows are not split");
-        let comps = connected_components(&cs, &index);
+        let comps = knowledge_components(&cs, &index);
         assert_eq!(comps.len(), 2, "buckets 1 and 2 fuse");
     }
 
@@ -284,12 +246,13 @@ mod tests {
     fn ordering_is_canonical() {
         let (_, table) = paper_example();
         let index = TermIndex::build(&table);
-        let mut cs = data_invariants(&table, &index, true);
         // Two knowledge rows, deliberately compiled in "reverse" bucket
         // order: graduates appear only in bucket 2, q3 in buckets {0, 1}.
-        cs.push(compile_conditional(&[(1, 3)], 0, 0.5, 0, &table, &index).unwrap());
-        cs.push(compile_conditional(&[(0, 0), (1, 1)], 1, 0.5, 1, &table, &index).unwrap());
-        let comps = connected_components(&cs, &index);
+        let cs = vec![
+            compile_conditional(&[(1, 3)], 0, 0.5, 0, &table, &index).unwrap(),
+            compile_conditional(&[(0, 0), (1, 1)], 1, 0.5, 1, &table, &index).unwrap(),
+        ];
+        let comps = knowledge_components(&cs, &index);
         let mins: Vec<usize> = comps.iter().map(|c| c.buckets[0]).collect();
         let mut sorted = mins.clone();
         sorted.sort_unstable();
@@ -300,28 +263,6 @@ mod tests {
                 c.knowledge_rows.windows(2).all(|w| w[0] < w[1]),
                 "knowledge rows ascend"
             );
-        }
-    }
-
-    /// `knowledge_components` over the knowledge tail alone is equivalent
-    /// to `connected_components` over the merged invariant+knowledge list.
-    #[test]
-    fn knowledge_components_match_merged_list() {
-        let (_, table) = paper_example();
-        let index = TermIndex::build(&table);
-        let inv = data_invariants(&table, &index, true);
-        let krows = vec![
-            compile_conditional(&[(1, 3)], 0, 0.5, 0, &table, &index).unwrap(),
-            compile_conditional(&[(0, 0), (1, 1)], 1, 0.5, 1, &table, &index).unwrap(),
-        ];
-        let mut merged = inv.clone();
-        merged.extend(krows.iter().cloned());
-        let from_merged = connected_components(&merged, &index);
-        let from_tail = knowledge_components(&krows, inv.len(), &index);
-        assert_eq!(from_merged.len(), from_tail.len());
-        for (a, b) in from_merged.iter().zip(&from_tail) {
-            assert_eq!(a.buckets, b.buckets);
-            assert_eq!(a.knowledge_rows, b.knowledge_rows);
         }
     }
 

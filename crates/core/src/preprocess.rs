@@ -11,7 +11,6 @@
 //! fixpoint also pins single-term rows (`coef·p = rhs ⇒ p = rhs/coef`),
 //! shrinking the solve and detecting infeasibility early.
 
-use crate::constraint::Constraint;
 use crate::error::CoreError;
 
 /// Numerical tolerance for "is zero" decisions during preprocessing.
@@ -84,30 +83,16 @@ impl FlatRows<'_> {
     }
 }
 
-/// Runs the elimination fixpoint over `constraints` on `n_terms` variables.
-pub fn preprocess(constraints: &[Constraint], n_terms: usize) -> Result<Reduced, CoreError> {
-    let rows: Vec<Vec<(usize, f64)>> =
-        constraints.iter().map(|c| c.coeffs.clone()).collect();
-    let rhs: Vec<f64> = constraints.iter().map(|c| c.rhs).collect();
-    run_fixpoint(rows, rhs, n_terms)
-}
-
-/// [`preprocess`] over a flat CSR-style system — the engine's hot path
-/// (per-component rows assembled contiguously in a reusable scratch
-/// arena).
+/// Runs the elimination fixpoint over a flat CSR-style system on `n_terms`
+/// variables — every system the engine solves arrives this way (rows
+/// assembled contiguously in a reusable scratch arena, or the Section 6
+/// person system).
 pub fn preprocess_flat(system: FlatRows<'_>, n_terms: usize) -> Result<Reduced, CoreError> {
-    let rows: Vec<Vec<(usize, f64)>> =
+    // An owned working set: rows are mutated in place as terms pin and
+    // substitute out.
+    let mut rows: Vec<Vec<(usize, f64)>> =
         (0..system.num_rows()).map(|r| system.row(r).to_vec()).collect();
-    run_fixpoint(rows, system.rhs.to_vec(), n_terms)
-}
-
-/// The elimination fixpoint proper, over an owned working set (`rows` are
-/// mutated in place as terms pin and substitute out).
-fn run_fixpoint(
-    mut rows: Vec<Vec<(usize, f64)>>,
-    mut rhs: Vec<f64>,
-    n_terms: usize,
-) -> Result<Reduced, CoreError> {
+    let mut rhs = system.rhs.to_vec();
     // fixed[t] = Some(value) once term t is eliminated.
     let mut fixed: Vec<Option<f64>> = vec![None; n_terms];
     // Upper bounds implied by non-negative rows: `c·p ≤ rhs ⇒ p ≤ rhs/c`.
@@ -260,10 +245,22 @@ fn run_fixpoint(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::constraint::ConstraintOrigin;
+    use crate::constraint::{Constraint, ConstraintOrigin};
 
     fn k(coeffs: Vec<(usize, f64)>, rhs: f64) -> Constraint {
         Constraint { coeffs, rhs, origin: ConstraintOrigin::Knowledge { index: 0 } }
+    }
+
+    /// Flattens `cs` and runs [`preprocess_flat`] on it.
+    fn reduce(cs: &[Constraint], n_terms: usize) -> Result<Reduced, CoreError> {
+        let mut coeffs = Vec::new();
+        let mut bounds = vec![0];
+        for c in cs {
+            coeffs.extend_from_slice(&c.coeffs);
+            bounds.push(coeffs.len());
+        }
+        let rhs: Vec<f64> = cs.iter().map(|c| c.rhs).collect();
+        preprocess_flat(FlatRows { coeffs: &coeffs, bounds: &bounds, rhs: &rhs }, n_terms)
     }
 
     #[test]
@@ -272,7 +269,7 @@ mod tests {
             k(vec![(0, 1.0), (1, 1.0)], 0.0),
             k(vec![(1, 1.0), (2, 1.0), (3, 1.0)], 0.5),
         ];
-        let r = preprocess(&cs, 4).unwrap();
+        let r = reduce(&cs, 4).unwrap();
         // Terms 0 and 1 fixed to zero; second row loses term 1.
         assert_eq!(r.num_free(), 2);
         assert_eq!(r.var_map, vec![2, 3]);
@@ -291,7 +288,7 @@ mod tests {
             k(vec![(0, 1.0), (1, 1.0)], 0.3),
             k(vec![(1, 1.0), (2, 1.0)], 0.4),
         ];
-        let r = preprocess(&cs, 3).unwrap();
+        let r = reduce(&cs, 3).unwrap();
         assert_eq!(r.num_free(), 0);
         let full = r.expand(&[]);
         assert!((full[0] - 0.3).abs() < 1e-12);
@@ -304,7 +301,7 @@ mod tests {
     fn infeasible_negative_target() {
         let cs = vec![k(vec![(0, 1.0), (1, 1.0)], -0.1)];
         assert!(matches!(
-            preprocess(&cs, 2),
+            reduce(&cs, 2),
             Err(CoreError::Infeasible { .. })
         ));
     }
@@ -312,42 +309,14 @@ mod tests {
     #[test]
     fn infeasible_contradictory_pins() {
         let cs = vec![k(vec![(0, 1.0)], 0.3), k(vec![(0, 1.0)], 0.4)];
-        assert!(matches!(preprocess(&cs, 1), Err(CoreError::Infeasible { .. })));
+        assert!(matches!(reduce(&cs, 1), Err(CoreError::Infeasible { .. })));
     }
 
     #[test]
     fn infeasible_emptied_row() {
         // x0 = 0 via zero row, then x0 = 0.2 is contradictory.
         let cs = vec![k(vec![(0, 1.0)], 0.0), k(vec![(0, 1.0)], 0.2)];
-        assert!(matches!(preprocess(&cs, 1), Err(CoreError::Infeasible { .. })));
-    }
-
-    /// The flat CSR-style entry point is the same fixpoint: identical
-    /// `Reduced` (rows, rhs, variable map, fixed terms) for the same system.
-    #[test]
-    fn flat_entry_point_matches_slice_entry_point() {
-        let cs = vec![
-            k(vec![(0, 1.0), (1, 1.0)], 0.0),
-            k(vec![(1, 1.0), (2, 1.0), (3, 1.0)], 0.5),
-            k(vec![(2, 2.0)], 0.4),
-        ];
-        let mut coeffs = Vec::new();
-        let mut bounds = vec![0usize];
-        let mut rhs = Vec::new();
-        for c in &cs {
-            coeffs.extend_from_slice(&c.coeffs);
-            bounds.push(coeffs.len());
-            rhs.push(c.rhs);
-        }
-        let flat = FlatRows { coeffs: &coeffs, bounds: &bounds, rhs: &rhs };
-        assert_eq!(flat.num_rows(), 3);
-        assert_eq!(flat.row(1), &cs[1].coeffs[..]);
-        let a = preprocess(&cs, 4).unwrap();
-        let b = preprocess_flat(flat, 4).unwrap();
-        assert_eq!(a.rows, b.rows);
-        assert_eq!(a.rhs, b.rhs);
-        assert_eq!(a.var_map, b.var_map);
-        assert_eq!(a.fixed, b.fixed);
+        assert!(matches!(reduce(&cs, 1), Err(CoreError::Infeasible { .. })));
     }
 
     #[test]
@@ -356,7 +325,7 @@ mod tests {
             k(vec![(0, 1.0), (1, 1.0)], 0.4),
             k(vec![(1, 1.0), (2, 1.0)], 0.6),
         ];
-        let r = preprocess(&cs, 3).unwrap();
+        let r = reduce(&cs, 3).unwrap();
         assert_eq!(r.num_free(), 3);
         assert_eq!(r.rows.len(), 2);
         assert!(r.fixed.is_empty());

@@ -3,7 +3,7 @@
 //! The published table carries no meaning in its bucket *order* or in the
 //! record order within a bucket, and the dataset carries none in its row
 //! order — `P(S | Q)` must not depend on any of them. The partitioner's
-//! fixed tie-breaking (`partition::connected_components` sorts components
+//! fixed tie-breaking (`partition::knowledge_components` sorts components
 //! by smallest bucket id, buckets and knowledge rows ascending) makes the
 //! solve sequence deterministic for *one* input ordering; these tests check
 //! the estimate is also stable across *reorderings* of the input.

@@ -4,8 +4,10 @@
 use pm_anonymize::anatomy::{AnatomyBucketizer, AnatomyConfig};
 use pm_anonymize::fixtures::paper_example;
 use pm_anonymize::pseudonym::PseudonymTable;
+use pm_datagen::adult::{AdultGenerator, AdultGeneratorConfig};
 use pm_datagen::workload::{synthetic_dataset, WorkloadConfig};
 use privacy_maxent::engine::Engine;
+use privacy_maxent::error::PmError;
 use privacy_maxent::individuals::IndividualEngine;
 use privacy_maxent::knowledge::{Knowledge, KnowledgeBase};
 
@@ -98,4 +100,30 @@ fn certainty_about_one_person_shifts_peers() {
             "peer {peer}"
         );
     }
+}
+
+#[test]
+fn infeasible_statements_a_record_short_are_refused() {
+    // Three people of one symbol, each said to have SA 7 (2.35 records in
+    // all), where the symbol's three buckets hold SA 7 twice. Preprocessing
+    // cannot see the clash; the solve stops one record short of it. The
+    // accuracy contract judges the person solve by those buckets' 15
+    // records, not by the table's 2,500, so the set is refused.
+    let data = AdultGenerator::new(AdultGeneratorConfig { records: 2_500, seed: 1 }).generate();
+    let table = AnatomyBucketizer::new(AnatomyConfig { ell: 5, exempt_top: 1 })
+        .publish(&data)
+        .unwrap();
+    let pseud = PseudonymTable::from_interner(table.interner());
+    let q = pseud.owner(1114);
+    assert_eq!(pseud.pseudonyms_of(q), 1114..1117, "the three people of one symbol");
+    let buckets = table.buckets_with_qi(q);
+    let records: usize = buckets.iter().map(|&b| table.bucket(b).size()).sum();
+    let sa7: usize = buckets.iter().map(|&b| table.bucket(b).sa_multiplicity(7)).sum();
+    assert_eq!((records, sa7), (15, 2));
+    let mut kb = KnowledgeBase::new();
+    for (pseudonym, probability) in [(1114, 0.839), (1115, 0.96), (1116, 0.552)] {
+        kb.push(Knowledge::IndividualSa { pseudonym, sa: 7, probability }).unwrap();
+    }
+    let result = IndividualEngine::new().estimate(&table, &kb);
+    assert!(matches!(result, Err(PmError::SolverFailed { .. })), "{:?}", result.err());
 }
